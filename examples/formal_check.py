@@ -7,9 +7,9 @@ importable on its own:
 * catch an operator-swap mutant, replay its counterexample in the
   event-driven simulator, and watch the two designs disagree;
 * check boolean properties (including from all initial states);
-* run the curation verdict (``verify_code``) over a small corpus and
-  print the verified-tier yield, memoised so repeated elaborations
-  are free.
+* run the curation verdict (``verify_design``) over a small corpus
+  and print the verified-tier yield, memoised so repeated
+  elaborations are free.
 
     python examples/formal_check.py
     python examples/formal_check.py --report-json formal.json
@@ -25,12 +25,11 @@ import random
 import _cli
 from repro.dataset.corrupt import operator_mutants
 from repro.pipeline.diskcache import DiskCache
-from repro.verilog import Simulator
+from repro.verilog import FrontEndMemo, Simulator
 from repro.verilog.formal import (
-    ElaborationMemo,
     check_equivalence,
     check_properties,
-    verify_code,
+    verify_design,
 )
 
 REFERENCE = """
@@ -106,7 +105,7 @@ def main() -> None:
     disk = None
     if args.cache_dir:
         disk = DiskCache(f"{args.cache_dir}/formal-elab", obs=obs)
-    memo = ElaborationMemo(disk=disk, obs=obs)
+    memo = FrontEndMemo(disk=disk)
     corpus = {
         "saturating adder": REFERENCE,
         "counter": COUNTER,
@@ -117,15 +116,18 @@ def main() -> None:
     }
     print("\nverified-tier verdicts (two passes, memoised):")
     verdicts = {}
-    for _ in range(2):  # the second pass re-elaborates nothing
-        for name, source in corpus.items():
-            memo.elaborate(source)
-            ok, detail = verify_code(source)
-            verdicts[name] = {"verified": ok, "detail": detail}
+    with memo.scope(obs):
+        for _ in range(2):  # the second pass re-elaborates nothing
+            for name, source in corpus.items():
+                verdict = verify_design(memo.elaborate(source))
+                ok = verdict.status == "verified"
+                detail = (verdict.detail if ok
+                          else f"{verdict.status}: {verdict.detail}")
+                verdicts[name] = {"verified": ok, "detail": detail}
     for name, entry in verdicts.items():
         flag = "PASS" if entry["verified"] else "fail"
         print(f"  {flag}  {name:28s} {entry['detail']}")
-    hits, misses = memo.stats()
+    hits, misses = memo.stats()["design"]
     print(f"\nelaboration memo: {hits} hits / {misses} misses"
           + (" (misses persist under --cache-dir)" if disk else ""))
     report["verdicts"] = verdicts

@@ -54,6 +54,7 @@ from .layering import LayerReport, assign_layers
 from .ranking import score_code
 from .records import CompileStatus, DatasetEntry, PyraNetDataset
 from ..verilog.formal import verify_code
+from ..verilog.frontend import FrontEndMemo
 
 
 @dataclass
@@ -211,9 +212,23 @@ class CurationPipeline:
         raw_files: Sequence[RawFile],
         generated: Sequence[GeneratedSample] = (),
     ) -> "CurationResult":
-        """Curate ``raw_files`` + ``generated`` into a layered dataset."""
-        records = self._source_records(raw_files, generated)
+        """Curate ``raw_files`` + ``generated`` into a layered dataset.
+
+        The run is one front-end memo scope: each distinct text is
+        parsed once by whichever stage asks first (stages in pool
+        threads or processes parse on their own).
+        """
         obs = resolve(self.obs)
+        with FrontEndMemo().scope(obs):
+            return self._curate(raw_files, generated, obs)
+
+    def _curate(
+        self,
+        raw_files: Sequence[RawFile],
+        generated: Sequence[GeneratedSample],
+        obs: Observability,
+    ) -> "CurationResult":
+        records = self._source_records(raw_files, generated)
         layer_holder: Dict[str, LayerReport] = {}
         family_holder: Dict[str, FamilyIndex] = {}
         engine = StagedPipeline(

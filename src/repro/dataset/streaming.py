@@ -77,6 +77,7 @@ from .pipeline import CurationResult, PipelineReport
 from .ranking import score_many
 from .records import CompileStatus, DatasetEntry, PyraNetDataset
 from ..verilog.formal import verify_code
+from ..verilog.frontend import FrontEndMemo
 
 PathLike = Union[str, Path]
 
@@ -187,33 +188,38 @@ def _label_batch(payload: tuple) -> Dict[str, Any]:
     batch_index, items = payload
     survivors: List[tuple] = []
     n_syntax_dropped = 0
-    for index, content, provenance in items:
-        decision, result = syntax_filter(content)
-        if not decision.kept:
-            n_syntax_dropped += 1
-            continue
-        status = "clean" if result.status == "clean" else "dependency"
-        detail = ""
-        if status == "dependency":
-            issues = result.dependency_issues
-            detail = issues[0].message if issues else "dependency issues"
-        survivors.append((index, content, provenance, status, detail,
-                          list(result.modules)))
-    scores = score_many([item[1] for item in survivors])
     labeled: List[tuple] = []
-    for (index, content, provenance, status, detail, modules), ranking \
-            in zip(survivors, scores):
-        description = provenance["description"] or describe_source(content)
-        # Same gate as the in-memory stage's ``when`` predicate: only
-        # clean 20/20 entries can enter the verified tier.
-        verified, verified_detail = False, ""
-        if ranking == 20 and status == "clean":
-            verified, verified_detail = verify_code(content)
-        labeled.append((
-            index, content, provenance, status, detail,
-            ranking, classify_code(content), description,
-            modules, verified, verified_detail,
-        ))
+    # One front-end memo scope per batch: each text parses once across
+    # the fused stages, and memory stays bounded by the batch.
+    with FrontEndMemo().scope():
+        for index, content, provenance in items:
+            decision, result = syntax_filter(content)
+            if not decision.kept:
+                n_syntax_dropped += 1
+                continue
+            status = "clean" if result.status == "clean" else "dependency"
+            detail = ""
+            if status == "dependency":
+                issues = result.dependency_issues
+                detail = (issues[0].message if issues
+                          else "dependency issues")
+            survivors.append((index, content, provenance, status, detail,
+                              list(result.modules)))
+        scores = score_many([item[1] for item in survivors])
+        for (index, content, provenance, status, detail, modules), ranking \
+                in zip(survivors, scores):
+            description = (provenance["description"]
+                           or describe_source(content))
+            # Same gate as the in-memory stage's ``when`` predicate:
+            # only clean 20/20 entries can enter the verified tier.
+            verified, verified_detail = False, ""
+            if ranking == 20 and status == "clean":
+                verified, verified_detail = verify_code(content)
+            labeled.append((
+                index, content, provenance, status, detail,
+                ranking, classify_code(content), description,
+                modules, verified, verified_detail,
+            ))
     return {"batch": batch_index, "n_in": len(items),
             "n_syntax_dropped": n_syntax_dropped, "labeled": labeled}
 

@@ -28,6 +28,7 @@ from ..verilog import (
     Simulator,
     StopSimulation,
 )
+from ..verilog.frontend import join_scope
 from ..verilog.parser import parse
 from ..verilog.preprocessor import PreprocessorError
 from ..verilog.sim.eval import EvalError
@@ -221,7 +222,17 @@ def run_functional_test(
 
     Returns:
         A :class:`TestOutcome`.
+
+    The call joins the front-end memo scope already open in this
+    context, or opens its own, so the candidate is parsed once.
     """
+    with join_scope():
+        return _run_functional_test(source, spec, n_vectors, seed,
+                                    max_mismatches)
+
+
+def _run_functional_test(source: str, spec: DesignSpec, n_vectors: int,
+                         seed: int, max_mismatches: int) -> TestOutcome:
     outcome = TestOutcome(passed=False)
     golden = spec.golden
     if golden is None:

@@ -36,6 +36,7 @@ from ..pipeline import (
 )
 from ..obs.reportable import warn_deprecated
 from ..resilience.runtime import Resilience
+from ..verilog.frontend import FrontEndMemo
 from .config import EvalConfig
 from .functional import TestOutcome, run_functional_test
 from .passk import mean_pass_at_k, pass_at_k
@@ -242,6 +243,12 @@ def evaluate_model(
     outcome_cache = cache if cache is not None else ResultCache()
 
     def _run_problem(indexed) -> ProblemResult:
+        # One front-end memo scope per problem record: a completion is
+        # parsed once across generation, interface lookup and simulation.
+        with FrontEndMemo().scope(obs):
+            return _sample_and_check(indexed)
+
+    def _sample_and_check(indexed) -> ProblemResult:
         p_index, problem = indexed
         result = ProblemResult(
             problem_id=problem.problem_id, n_samples=n_samples, n_passed=0

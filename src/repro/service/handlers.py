@@ -362,10 +362,11 @@ def run_formal_job(job: Job, ctx: JobContext,
     Streams the store through batched reads, runs the bounded formal
     check on every clean 20/20 row (the only rows the tier admits),
     and rewrites the store with the verdicts persisted — shard facets
-    and the manifest's ``verified`` facet update with it.  Elaboration
-    is memoised in a job-local :class:`~repro.pipeline.diskcache.DiskCache`
-    keyed by source digest, so a resumed or repeated job re-elaborates
-    nothing (``formal.memo.hit``/``miss`` counters are exact).
+    and the manifest's ``verified`` facet update with it.  The job is
+    one front-end memo scope whose design tier sits on a job-local
+    :class:`~repro.pipeline.diskcache.DiskCache` keyed by source digest,
+    so a resumed or repeated job re-elaborates nothing (the
+    ``verilog.frontend.design.hit``/``miss`` counters are exact).
 
     Params: ``store`` (required), ``bound`` (cycles for sequential
     designs), ``batch_size`` (rows per batched read).
@@ -374,7 +375,7 @@ def run_formal_job(job: Job, ctx: JobContext,
     from ..pipeline.diskcache import DiskCache
     from ..store import StoreReader, write_store
     from ..verilog.formal import verify_design
-    from ..verilog.formal.memo import ElaborationMemo
+    from ..verilog.frontend import FrontEndMemo
 
     p = job.params
     store = p.get("store")
@@ -386,7 +387,7 @@ def run_formal_job(job: Job, ctx: JobContext,
     reader = StoreReader(store_dir, cache=ResultCache(), obs=obs)
     manifest = reader.manifest
     disk = DiskCache(ctx.job_dir(job.job_id) / "elab-cache", obs=obs)
-    memo = ElaborationMemo(disk=disk, obs=obs)
+    memo = FrontEndMemo(disk=disk)
     stats = {"n_entries": 0, "n_checked": 0, "n_verified": 0}
 
     def verified_entries():
@@ -416,9 +417,10 @@ def run_formal_job(job: Job, ctx: JobContext,
 
     meta = dict(manifest.meta or {})
     meta.update({"job_id": job.job_id, "source": "service.formal"})
-    new_manifest = write_store(verified_entries(), store_dir,
-                               meta=meta, obs=obs)
-    hits, misses = memo.stats()
+    with memo.scope(obs):
+        new_manifest = write_store(verified_entries(), store_dir,
+                                   meta=meta, obs=obs)
+    hits, misses = memo.stats()["design"]
     obs.counter("service.formal.checked").inc(stats["n_checked"])
     obs.counter("service.formal.verified").inc(stats["n_verified"])
     return {

@@ -3,6 +3,8 @@
 Public surface:
 
 * :func:`tokenize`, :func:`parse`, :func:`parse_module` — lexing/parsing;
+* :class:`FrontEndMemo` — the run-scoped parse/elaboration memo
+  :func:`parse` answers from (:mod:`repro.verilog.frontend`);
 * :func:`preprocess` — compiler directives;
 * :func:`check`, :class:`CheckResult` — compile checking with the
   paper's syntax/dependency taxonomy (the Icarus Verilog substitute);
@@ -31,8 +33,8 @@ from .sim.values import Vec4
 from .sim.runtime import Simulator, build_library
 from .sim.design import ElaborationError
 from .sim.interp import SimulationError, StopSimulation
+from .frontend import FrontEndMemo
 from .formal import (
-    ElaborationMemo,
     FormalReport,
     FormalUnsupported,
     check_equivalence,
@@ -51,7 +53,8 @@ __all__ = [
     "lint", "StyleReport", "Violation",
     "Vec4", "Simulator", "build_library",
     "ElaborationError", "SimulationError", "StopSimulation",
-    "FormalReport", "FormalUnsupported", "ElaborationMemo",
+    "FrontEndMemo",
+    "FormalReport", "FormalUnsupported",
     "check_equivalence", "check_properties",
     "verify_design", "verify_code",
 ]

@@ -4,9 +4,9 @@ No external solver: designs are bit-blasted into a hash-consed ROBDD
 arena (:mod:`.bdd`) by a symbolic interpreter that mirrors the exact
 four-state simulator semantics with constant folding through the real
 evaluator (:mod:`.sym`).  :mod:`.check` exposes the user-facing
-entry points and the versioned :class:`FormalReport`; :mod:`.memo`
-provides the digest-keyed parse/elaboration memo that keeps the
-curation-tier path cheap on warm runs.
+entry points and the versioned :class:`FormalReport`.  Designs come
+from the shared front end; :class:`repro.verilog.frontend.FrontEndMemo`
+memoises their elaboration for callers that check a store repeatedly.
 """
 
 from .bdd import BDDBudgetError, BDDManager, DEFAULT_NODE_BUDGET
@@ -19,7 +19,6 @@ from .check import (
     verify_code,
     verify_design,
 )
-from .memo import ElaborationMemo, memo_key
 from .sym import FormalUnsupported
 
 __all__ = [
@@ -27,13 +26,11 @@ __all__ = [
     "BDDManager",
     "DEFAULT_BOUND",
     "DEFAULT_NODE_BUDGET",
-    "ElaborationMemo",
     "FORMAL_REPORT_SCHEMA",
     "FormalReport",
     "FormalUnsupported",
     "check_equivalence",
     "check_properties",
-    "memo_key",
     "verify_code",
     "verify_design",
 ]

@@ -14,8 +14,11 @@ the full Verilog expression grammar including sized/based literals.
 from __future__ import annotations
 
 import enum
+import functools
+import re
+import sys
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 
 class TokenKind(enum.Enum):
@@ -95,8 +98,95 @@ class LexError(Exception):
         self.col = col
 
 
+def _char_class(chars: List[str]) -> str:
+    """A regex character-class body matching exactly ``chars``."""
+    points = sorted(map(ord, chars))
+    parts: List[str] = []
+    index = 0
+    while index < len(points):
+        last = index
+        while last + 1 < len(points) and points[last + 1] == points[last] + 1:
+            last += 1
+        low, high = chr(points[index]), chr(points[last])
+        parts.append(re.escape(low) if low == high
+                     else f"{re.escape(low)}-{re.escape(high)}")
+        index = last + 1
+    return "".join(parts)
+
+
+def _master_pattern(alpha: str, digit: str) -> "re.Pattern[str]":
+    r"""The scanner's one compiled pattern.
+
+    ``alpha`` is an expression matching one letter (``str.isalpha``) and
+    ``digit`` a class body matching one digit (``str.isdigit``); ``\w``
+    is exactly ``str.isalnum`` plus ``_``.  Alternatives are tried in
+    order, so the operators' longest-first order gives maximal munch.
+    A bare opening quote, comment or attribute matches its own group,
+    which reports the error the scanner raises there.
+    """
+    number = (rf"[{digit}][{digit}_]*(?:\.[{digit}][{digit}_]*)?"
+              rf"(?:[eE][+-]?[{digit}]+)?")
+    suffix = r"'(?:[sS]?[bodhBODH][ \t]*[\w?]+)?"
+    operators = "|".join(re.escape(op) for op in _OPERATORS)
+    return re.compile(
+        r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/"
+        r"|\(\*(?!\))[\s\S]*?\*\))+)"
+        rf"|(?P<ident>(?:{alpha}|_)[\w$]*)"
+        rf"|(?P<number>{number}(?:[ \t]*{suffix})?)"
+        r"|(?P<system>\$\w+)"
+        r'|(?P<string>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")'
+        rf"|(?P<based>{suffix})"
+        r"|(?P<escaped>\\[^ \t\r\n]*)"
+        r"|(?P<comment>/\*)|(?P<attribute>\(\*(?!\)))"
+        rf"|(?P<op>{operators})"
+        r"|(?P<other>[\s\S])"
+    )
+
+
+#: The pattern for ASCII sources (nearly all of them).
+_ASCII_PATTERN = _master_pattern("[A-Za-z]", "0-9")
+
+
+@functools.lru_cache(maxsize=None)
+def _unicode_pattern() -> "re.Pattern[str]":
+    """The pattern for sources holding non-ASCII text.
+
+    Built on first use: finding the letters and digits whose
+    ``str.isalpha``/``str.isdigit`` differ from the regex classes takes
+    one pass over every code point (about 0.1 s).
+    """
+    alnum = [ch for ch in map(chr, range(sys.maxunicode + 1))
+             if ch.isalnum() and not ch.isalpha() and not ch.isdecimal()]
+    # ``[^\W\d_]`` is isalnum minus decimal digits and ``_``; taking
+    # away the other numeric characters leaves exactly isalpha.
+    alpha = rf"(?![{_char_class(alnum)}])[^\W\d_]"
+    digit = r"\d" + _char_class([ch for ch in alnum if ch.isdigit()])
+    return _master_pattern(alpha, digit)
+
+
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"'}
+
+
+def _unescape(match: "re.Match[str]") -> str:
+    char = match.group(1)
+    return _ESCAPES.get(char, char)
+
+
+def _suffix_error(source: str, quote: int) -> str:
+    """Why the based-literal suffix starting at ``quote`` is invalid."""
+    at = quote + 1
+    if source[at:at + 1] in ("s", "S"):
+        at += 1
+    base = source[at:at + 1]
+    # At the end of the input ``base`` is "", which is in every string.
+    if base not in "bodhBODH":
+        return f"invalid base character {base!r}"
+    return "based literal missing digits"
+
+
 class Lexer:
-    """Single-pass maximal-munch tokenizer.
+    """Maximal-munch tokenizer over one compiled master pattern.
 
     Usage::
 
@@ -105,221 +195,62 @@ class Lexer:
 
     def __init__(self, source: str) -> None:
         self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    # -- character helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index >= len(self._src):
-            return ""
-        return self._src[index]
-
-    def _advance(self, count: int = 1) -> str:
-        """Consume ``count`` characters, tracking line/column."""
-        taken = self._src[self._pos : self._pos + count]
-        for ch in taken:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._pos += len(taken)
-        return taken
-
-    # -- skipping ----------------------------------------------------------
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace, comments, and synthesis attributes."""
-        while True:
-            ch = self._peek()
-            if ch and ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if not self._peek():
-                        raise LexError(
-                            "unterminated block comment", start_line, start_col
-                        )
-                    self._advance()
-                self._advance(2)
-            elif ch == "(" and self._peek(1) == "*":
-                # Synthesis attribute (* ... *): skipped entirely.  Guard
-                # against "(*)" which is a sensitivity list, not an attribute.
-                if self._peek(2) == ")":
-                    return
-                start_line, start_col = self._line, self._col
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == ")"):
-                    if not self._peek():
-                        raise LexError(
-                            "unterminated attribute", start_line, start_col
-                        )
-                    self._advance()
-                self._advance(2)
-            else:
-                return
-
-    # -- token scanners ----------------------------------------------------
-
-    def _scan_ident(self) -> Token:
-        line, col = self._line, self._col
-        start = self._pos
-        if self._peek() == "\\":
-            # Escaped identifier: backslash up to whitespace.
-            self._advance()
-            while self._peek() and self._peek() not in " \t\r\n":
-                self._advance()
-            text = self._src[start:self._pos]
-            return Token(TokenKind.IDENT, text, line, col)
-        while self._peek() and (self._peek().isalnum() or self._peek() in "_$"):
-            self._advance()
-        text = self._src[start:self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _scan_system_ident(self) -> Token:
-        line, col = self._line, self._col
-        start = self._pos
-        self._advance()  # the '$'
-        while self._peek() and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        text = self._src[start:self._pos]
-        if text == "$":
-            return Token(TokenKind.OPERATOR, "$", line, col)
-        return Token(TokenKind.SYSTEM_IDENT, text, line, col)
-
-    def _scan_number(self) -> Token:
-        """Scan decimal, real, and based literals.
-
-        A based literal may be preceded by a size (``8'hFF``); the size,
-        when present, has already been consumed as the leading digits.
-        """
-        line, col = self._line, self._col
-        start = self._pos
-        while self._peek() and (self._peek().isdigit() or self._peek() == "_"):
-            self._advance()
-        # Real numbers: 3.14, 1e9, 2.5e-3
-        if self._peek() == "." and self._peek(1).isdigit():
-            self._advance()
-            while self._peek() and (self._peek().isdigit() or self._peek() == "_"):
-                self._advance()
-        if self._peek() and self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) and self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        # Based literal continuation: optional whitespace then 'b/'h/...
-        save = self._pos, self._line, self._col
-        while self._peek() and self._peek() in " \t":
-            self._advance()
-        if self._peek() == "'":
-            self._scan_base_suffix()
-        else:
-            self._pos, self._line, self._col = save
-        text = self._src[start:self._pos]
-        return Token(TokenKind.NUMBER, text, line, col)
-
-    def _scan_base_suffix(self) -> None:
-        """Consume ``'[sS]?[bodhBODH]<digits>`` after a quote."""
-        line, col = self._line, self._col
-        self._advance()  # the quote
-        if self._peek() and self._peek() in "sS":
-            self._advance()
-        base = self._peek()
-        if base not in "bodhBODH":
-            raise LexError(f"invalid base character {base!r}", line, col)
-        self._advance()
-        while self._peek() and self._peek() in " \t":
-            self._advance()
-        digits_start = self._pos
-        while self._peek() and (
-            self._peek().isalnum() or self._peek() in "_?xXzZ"
-        ):
-            self._advance()
-        if self._pos == digits_start:
-            raise LexError("based literal missing digits", line, col)
-
-    def _scan_unsized_based(self) -> Token:
-        """Scan a based literal with no size prefix, e.g. ``'b0``, ``'hFF``."""
-        line, col = self._line, self._col
-        start = self._pos
-        self._scan_base_suffix()
-        return Token(TokenKind.NUMBER, self._src[start:self._pos], line, col)
-
-    def _scan_string(self) -> Token:
-        line, col = self._line, self._col
-        self._advance()  # opening quote
-        chars: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", line, col)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                self._advance()
-                esc = self._advance()
-                chars.append({"n": "\n", "t": "\t", "\\": "\\", '"': '"'}.get(esc, esc))
-            else:
-                chars.append(self._advance())
-        return Token(TokenKind.STRING, "".join(chars), line, col)
-
-    def _scan_operator(self) -> Token:
-        line, col = self._line, self._col
-        for op in _OPERATORS:
-            if self._src.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, line, col)
-        raise LexError(f"unexpected character {self._peek()!r}", line, col)
-
-    # -- public API ----------------------------------------------------------
-
-    def next_token(self) -> Token:
-        """Return the next token, or an EOF token at end of input."""
-        self._skip_trivia()
-        ch = self._peek()
-        if not ch:
-            return Token(TokenKind.EOF, "", self._line, self._col)
-        if ch.isalpha() or ch == "_" or ch == "\\":
-            return self._scan_ident()
-        if ch == "$":
-            return self._scan_system_ident()
-        if ch.isdigit():
-            return self._scan_number()
-        if ch == "'":
-            return self._scan_unsized_based()
-        if ch == '"':
-            return self._scan_string()
-        return self._scan_operator()
 
     def tokenize(self) -> List[Token]:
         """Tokenize the whole input, returning a list ending with EOF."""
-        tokens: List[Token] = []
-        while True:
-            tok = self.next_token()
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return tokens
+        return list(self._scan())
 
     def __iter__(self) -> Iterator[Token]:
-        while True:
-            tok = self.next_token()
-            yield tok
-            if tok.kind is TokenKind.EOF:
-                return
+        return self._scan()
+
+    def _scan(self) -> Iterator[Token]:
+        src = self._src
+        pattern = _ASCII_PATTERN if src.isascii() else _unicode_pattern()
+        line, line_start = 1, 0
+        for match in pattern.finditer(src):
+            group = match.lastgroup
+            text = match.group()
+            start = match.start()
+            if group == "trivia":
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rindex("\n") + 1
+                continue
+            col = start - line_start + 1
+            if group == "ident":
+                yield Token(TokenKind.KEYWORD if text in KEYWORDS
+                            else TokenKind.IDENT, text, line, col)
+            elif group == "op":
+                yield Token(TokenKind.OPERATOR, text, line, col)
+            elif group == "number" or group == "based":
+                if text[-1] == "'":
+                    quote = start + len(text) - 1
+                    raise LexError(_suffix_error(src, quote), line,
+                                   quote - line_start + 1)
+                yield Token(TokenKind.NUMBER, text, line, col)
+            elif group == "string":
+                value = text[1:-1]
+                if "\\" in value:
+                    value = _ESCAPE.sub(_unescape, value)
+                yield Token(TokenKind.STRING, value, line, col)
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rindex("\n") + 1
+            elif group == "system":
+                yield Token(TokenKind.SYSTEM_IDENT, text, line, col)
+            elif group == "escaped":
+                yield Token(TokenKind.IDENT, text, line, col)
+            elif group == "comment":
+                raise LexError("unterminated block comment", line, col)
+            elif group == "attribute":
+                raise LexError("unterminated attribute", line, col)
+            # What is left is one character no token starts with, or a
+            # quote that opens no complete string.
+            elif text == '"':
+                raise LexError("unterminated string literal", line, col)
+            else:
+                raise LexError(f"unexpected character {text!r}", line, col)
+        yield Token(TokenKind.EOF, "", line, len(src) - line_start + 1)
 
 
 def tokenize(source: str) -> List[Token]:

@@ -14,6 +14,7 @@ syntax checker converts these into diagnostics.
 from __future__ import annotations
 
 import re
+from contextvars import ContextVar
 from typing import List, Optional, Tuple
 
 from . import ast_nodes as ast
@@ -36,6 +37,14 @@ _NUMBER_RE = re.compile(
 
 _BASE_BITS = {"b": 1, "o": 3, "d": 0, "h": 4}
 
+#: Digits each base admits, x/z/? included.
+_BASE_DIGITS = {
+    "b": frozenset("01xXzZ?"),
+    "o": frozenset("01234567xXzZ?"),
+    "d": frozenset("0123456789xXzZ?"),
+    "h": frozenset("0123456789abcdefABCDEFxXzZ?"),
+}
+
 #: Net-declaration keywords accepted at module scope.
 _NET_KINDS = frozenset(
     ["wire", "reg", "integer", "real", "time", "supply0", "supply1",
@@ -49,12 +58,15 @@ _GATE_KINDS = frozenset(
 )
 
 
-def parse_number_literal(text: str, line: int = 0) -> ast.Number:
+def parse_number_literal(text: str, line: int = 0,
+                         col: int = 0) -> ast.Number:
     """Decode a Verilog number literal into an :class:`ast.Number`.
 
     Handles plain decimal (``42``), sized/based (``8'hFF``), unsized
     based (``'b0``), signed (``4'sb1010``), and x/z digits
     (``4'b10xz``).  Underscores are ignored.  ``?`` is an alias for z.
+    A malformed literal, or a digit outside its base (``4'b102``),
+    raises :class:`ParseError` at ``line``/``col``.
     """
     text = text.strip()
     match = _NUMBER_RE.match(text)
@@ -65,12 +77,17 @@ def parse_number_literal(text: str, line: int = 0) -> ast.Number:
                 line=line, width=None, value=int(clean), signed=True, text=text
             )
         except ValueError:
-            raise ParseError(f"invalid number literal {text!r}", line, 0)
+            raise ParseError(f"invalid number literal {text!r}", line, col)
     size_txt, sign_txt, base_ch, digits = match.groups()
     width = int(size_txt.replace("_", "")) if size_txt else None
     signed = bool(sign_txt)
     base_ch = base_ch.lower()
     digits = digits.replace("_", "")
+    for ch in digits:
+        if ch not in _BASE_DIGITS[base_ch]:
+            raise ParseError(
+                f"digit {ch!r} out of range in number literal {text!r}",
+                line, col)
     value = 0
     xz_mask = 0
     z_mask = 0
@@ -1019,9 +1036,9 @@ class Parser:
                         value=float(tok.text.replace("_", "")),
                     )
                 except ValueError:
-                    expr = parse_number_literal(tok.text, tok.line)
+                    expr = parse_number_literal(tok.text, tok.line, tok.col)
             else:
-                expr = parse_number_literal(tok.text, tok.line)
+                expr = parse_number_literal(tok.text, tok.line, tok.col)
         elif tok.kind is TokenKind.STRING:
             self._next()
             expr = ast.StringLiteral(line=tok.line, value=tok.text)
@@ -1132,8 +1149,22 @@ class Parser:
         return ast.Range(msb=msb, lsb=lsb)
 
 
+#: The :class:`~repro.verilog.frontend.FrontEndMemo` of the scope open
+#: in this context, or None outside any scope.
+ACTIVE_MEMO: ContextVar = ContextVar("repro.verilog.front_end_memo",
+                                     default=None)
+
+
 def parse(source: str) -> ast.SourceFile:
-    """Parse Verilog source text into a :class:`ast.SourceFile`."""
+    """Parse Verilog source text into a :class:`ast.SourceFile`.
+
+    Inside a front-end memo scope (:mod:`repro.verilog.frontend`) each
+    distinct text is parsed once and its tree shared, read-only, with
+    every later caller; outside one, every call parses.
+    """
+    memo = ACTIVE_MEMO.get()
+    if memo is not None:
+        return memo.parse(source)
     return Parser(source).parse_source()
 
 

@@ -178,6 +178,22 @@ class TestPipeline:
         dedup = curated.report.trace.stage("dedup")
         assert dedup.n_dropped == dedup.drops.get("duplicate", 0)
 
+    @pytest.mark.parametrize("literal", ["4'b1021", "6'o79", "8'd1f"])
+    def test_literal_digit_outside_base_drops_as_syntax_error(self,
+                                                              literal):
+        from repro.corpus.github_sim import RawFile
+
+        good = ("module keep(input [7:0] a, output [7:0] y);\n"
+                "  assign y = a;\nendmodule\n")
+        bad = ("module lit(output [7:0] y);\n"
+               f"  assign y = {literal};\nendmodule\n")
+        result = CurationPipeline(seed=0).run(
+            [RawFile(path="keep.v", content=good),
+             RawFile(path="lit.v", content=bad)])
+        assert [e.source_path for e in result.dataset] == ["keep.v"]
+        syntax = result.report.trace.stage("syntax_check")
+        assert syntax.drops == {"syntax error": 1}
+
     def test_report_json_round_trip(self, curated):
         restored = PipelineReport.from_json(curated.report.to_json())
         assert restored.funnel == curated.report.funnel

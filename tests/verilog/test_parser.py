@@ -51,6 +51,26 @@ class TestNumberLiterals:
     def test_truncation_to_width(self):
         assert parse_number_literal("4'hFF").value == 0xF
 
+    @pytest.mark.parametrize("literal, digit", [
+        ("4'b1021", "2"), ("6'o79", "9"), ("8'd1f", "f")])
+    def test_digit_outside_base_is_a_parse_error(self, literal, digit):
+        with pytest.raises(ParseError) as caught:
+            parse_number_literal(literal, 3, 14)
+        assert (caught.value.line, caught.value.col) == (3, 14)
+        assert repr(digit) in caught.value.message
+
+    @pytest.mark.parametrize("literal", ["4'b1021", "6'o79", "8'd1f"])
+    def test_bad_literal_reported_at_its_token(self, literal):
+        with pytest.raises(ParseError) as caught:
+            parse(f"module m(output [7:0] y);\n  assign y = {literal};\n"
+                  "endmodule\n")
+        assert (caught.value.line, caught.value.col) == (2, 14)
+
+    def test_malformed_literal_reported_at_its_token(self):
+        with pytest.raises(ParseError) as caught:
+            parse("module m(output [7:0] y);\n  assign y = 1²;\nendmodule\n")
+        assert (caught.value.line, caught.value.col) == (2, 14)
+
 
 class TestModuleHeaders:
     def test_ansi_ports(self):

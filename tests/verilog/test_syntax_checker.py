@@ -23,6 +23,14 @@ class TestStatusClassification:
         assert result.status == "syntax"
         assert result.syntax_errors
 
+    @pytest.mark.parametrize("literal", ["4'b1021", "6'o79", "8'd1f"])
+    def test_digit_outside_base_is_syntax(self, literal):
+        result = check(f"module m(output [7:0] y);\n"
+                       f"  assign y = {literal};\nendmodule\n")
+        assert result.status == "syntax"
+        error = result.syntax_errors[0]
+        assert (error.line, error.column) == (2, 14)
+
     def test_unknown_module_is_dependency(self):
         result = check("module m; ghost u(.a(1'b0)); endmodule")
         assert result.status == "dependency"
