@@ -14,6 +14,10 @@ importable on its own:
     python examples/formal_check.py
     python examples/formal_check.py --report-json formal.json
 
+Exits non-zero when the rewrite is not proved equivalent, the invariant
+does not hold, or a counterexample does not replay to different outputs
+in the simulator.
+
 Shared flags (see ``_cli.py``): ``--report-json`` writes the verdicts
 document; ``--trace-json`` the merged run report; ``--seed`` varies
 the mutant pick.  ``--cache-dir`` persists the elaboration memo, so a
@@ -21,6 +25,7 @@ re-run re-elaborates nothing.
 """
 
 import random
+import sys
 
 import _cli
 from repro.dataset.corrupt import operator_mutants
@@ -68,6 +73,7 @@ def main() -> None:
     _cli.note_unused_store(args)
     _cli.note_unused_families(args)
     report = {}
+    failures = []
 
     # 1. Equivalence of a rewrite ----------------------------------------
     with obs.span("example.equivalence"):
@@ -75,6 +81,8 @@ def main() -> None:
     print(f"rewrite vs reference : {verdict.status} "
           f"({verdict.n_bdd_nodes} BDD nodes)")
     report["rewrite"] = verdict.to_dict()
+    if verdict.status != "equivalent":
+        failures.append(f"rewrite is {verdict.status}, not equivalent")
 
     # 2. A mutant, caught and replayed -----------------------------------
     rng = random.Random(args.seed)
@@ -93,6 +101,8 @@ def main() -> None:
             values.append(sim.peek_int(cex["output"]))
         print(f"  replayed inputs {cex['cycles'][0]} -> "
               f"reference y={values[0]}, mutant y={values[1]}")
+        if values[0] == values[1]:
+            failures.append("the counterexample replays to equal outputs")
     report["mutant"] = caught.to_dict()
 
     # 3. Properties, including from all initial states -------------------
@@ -100,6 +110,8 @@ def main() -> None:
     print(f"counter invariant    : {props.status} "
           f"({props.properties[0]['assertion']!r})")
     report["properties"] = props.to_dict()
+    if props.status != "holds":
+        failures.append(f"counter invariant {props.status}, expected holds")
 
     # 4. The curation verdict over a tiny corpus, memoised ---------------
     disk = None
@@ -135,6 +147,8 @@ def main() -> None:
 
     _cli.write_report(args, report)
     _cli.write_trace(args, obs, example="formal_check")
+    if failures:
+        sys.exit("error: " + "; ".join(failures))
 
 
 if __name__ == "__main__":

@@ -8,12 +8,15 @@ clock it, peek anywhere in the hierarchy.
     python examples/simulate_design.py
     python examples/simulate_design.py --report-json waveform.json
 
+Exits non-zero when the pulse count differs from the queued widths.
+
 Shared flags (see ``_cli.py``): ``--report-json`` writes the pulse
 waveform trace; ``--trace-json`` writes the merged run report with the
 compile and simulate spans.  ``--seed`` varies the queued pulse widths.
 """
 
 import random
+import sys
 
 import _cli
 from repro.verilog import Simulator
@@ -141,6 +144,8 @@ def main() -> None:
                              "high_cycles": sum(trace),
                              "expected": expected})
     _cli.write_trace(args, obs, example="simulate_design")
+    if sum(trace) != expected:
+        sys.exit(f"error: {sum(trace)} high cycles, expected {expected}")
 
 
 if __name__ == "__main__":

@@ -308,4 +308,7 @@ def evaluate_model(
     obs.counter("eval.samples").inc(len(problems) * n_samples)
     obs.counter("eval.passed").inc(
         sum(result.n_passed for result in report.results))
+    # Per sample, as pass@k counts them (outcome-cache hits included).
+    for kind, count in sorted(report.failure_histogram().items()):
+        obs.counter(f"eval.failure.{kind}").inc(count)
     return report

@@ -2,12 +2,17 @@
 
 This module compiles an elaborated :class:`~repro.verilog.sim.design.
 Design` into per-bit BDD functions by *mirroring the simulator*: the
-expression walk follows ``sim/eval.py`` rule for rule (context-width
-widening, operand signedness, self-determined operands), the statement
-walk follows ``sim/interp.py``, and continuous assigns follow the
-kernel's ``_run_comb``.  Every width or constant decision is delegated
-to the real :class:`~repro.verilog.sim.eval.Evaluator` over a store
-view of the symbolic environment, so constant sub-expressions
+expression walk follows the simulator's expression rules rule for rule
+(context-width widening, operand signedness, self-determined operands),
+the statement walk its statement rules, and continuous assigns the
+kernel's continuous assignments.  Those rules live in the simulator's
+compiler (``ExprCompiler`` in ``sim/eval.py``, ``Compiler`` in
+``sim/interp.py``, ``Kernel._compile_assign``); their tree-walking
+form, which this module follows node for node, is the test oracle
+``tests/verilog/reference_sim.py``.  Every width or constant decision
+is delegated to the real :class:`~repro.verilog.sim.eval.Evaluator`
+over a store view of the symbolic environment, so constant
+sub-expressions
 (parameters, loop indices, ``$clog2``, user functions of constants)
 fold to exactly the value the simulator would compute.
 
@@ -325,7 +330,7 @@ class SymbolicContext:
         self.env, self.undef, self.nba = env, undef, nba
 
     # =====================================================================
-    # Expression evaluation (mirrors sim/eval.py)
+    # Expression evaluation (mirrors ExprCompiler in sim/eval.py)
     # =====================================================================
 
     def eval_sym(self, expr: ast.Expr, scope: Scope,
@@ -724,7 +729,7 @@ class SymbolicContext:
             f"system function {name} of non-constant arguments")
 
     # =====================================================================
-    # Statement execution (mirrors sim/interp.py)
+    # Statement execution (mirrors Compiler in sim/interp.py)
     # =====================================================================
 
     def exec_stmt(self, stmt: Optional[ast.Stmt], scope: Scope) -> None:
@@ -960,7 +965,7 @@ class SymbolicContext:
                 raise FormalUnsupported("for loop exceeds unroll cap")
 
     # =====================================================================
-    # Continuous assigns (mirror of Kernel._run_comb assign form)
+    # Continuous assigns (mirror of Kernel._compile_assign)
     # =====================================================================
 
     def run_comb_assign(self, proc: CombProcess) -> None:

@@ -19,6 +19,12 @@ Process kinds:
   region.
 * ``InitialProcess`` / ``TimedAlwaysProcess`` — generator-based threads
   that may suspend on ``#`` delays, ``@`` events, and ``wait``.
+
+The kernel compiles every process once, when it is constructed, with
+one :class:`~.interp.Compiler` (function bodies on their first call);
+the compiled closures read and write the kernel's tables directly.
+They live here and nowhere else: the AST is shared read-only between
+designs, and a :class:`~.design.Design` is pickled into caches.
 """
 
 from __future__ import annotations
@@ -38,16 +44,13 @@ from .design import (
     SignalBinding,
     TimedAlwaysProcess,
 )
-from .eval import Evaluator
+from .eval import constant
 from .interp import (
-    FunctionMachine,
-    Interpreter,
+    Compiler,
     SimulationError,
     StopSimulation,
     WriteOp,
-    declare_frame_local,
-    resolve_lvalue,
-    run_function,
+    compile_lvalue,
     split_value_for_ops,
 )
 from .values import Vec4
@@ -111,8 +114,6 @@ class Kernel:
         #: threads blocked on @(...) or wait(): thread -> (sens, scope) kind
         self._event_waiters: List[Tuple[_Thread, object, Scope, str]] = []
 
-        self.evaluator = Evaluator(self, self._call_function)
-        self._interp = Interpreter(self)
         self._activation_budget = MAX_ACTIVATIONS_PER_SLOT
         self._charge_budget = 10_000_000
         #: Index of the always-block comb process currently executing.
@@ -122,8 +123,14 @@ class Kernel:
 
         self._init_state()
         self._index_processes()
+        #: Frame of module-level code: slot 0 is the machine it charges.
+        self._frame: list = [self]
+        self.compiler = Compiler(self, self)
+        #: Per process: its compiled body (comb and edge processes) or
+        #: generator function (threads).
+        self._compiled = list(map(self._compile_process, design.processes))
 
-    # -- store interface (used by Evaluator) ---------------------------------
+    # -- store interface (used by compiled code and Simulator) ----------------
 
     def read(self, signal: Signal) -> Vec4:
         value = self._values.get(signal.name)
@@ -137,6 +144,32 @@ class Kernel:
             return Vec4.all_x(signal.width)
         return mem[index]
 
+    def reader(self, signal: Signal):
+        """Compiled read of ``signal`` (see :mod:`.eval`)."""
+        values, name = self._values, signal.name
+        if name in values:
+            return lambda fr: values[name]
+        width, signed = signal.width, signal.signed
+
+        def read_missing(fr):
+            value = values.get(name)
+            return value if value is not None else Vec4.all_x(width, signed)
+        return read_missing
+
+    def mem_reader(self, signal: Signal):
+        """Compiled read of one element of memory ``signal``."""
+        mem = self._memories.get(signal.name)
+        width = signal.width
+        if mem is None:
+            return lambda fr, index: Vec4.all_x(width)
+        size = len(mem)
+
+        def read_element(fr, index):
+            if 0 <= index < size:
+                return mem[index]
+            return Vec4.all_x(width)
+        return read_element
+
     def now(self) -> int:
         return self.time
 
@@ -146,16 +179,45 @@ class Kernel:
         ) & ((1 << 64) - 1)
         return (self._rng_state >> 24) & 0xFFFFFFFF
 
-    # -- machine interface (used by Interpreter) ---------------------------
+    # -- machine interface (used by compiled code) ---------------------------
 
     def charge(self, amount: int) -> None:
         self._charge_budget -= amount
         if self._charge_budget <= 0:
             raise SimulationError("simulation execution budget exceeded")
 
-    def eval(self, expr: ast.Expr, scope: Scope,
-             ctx_width: Optional[int] = None) -> Vec4:
-        return self.evaluator.eval(expr, scope, ctx_width)
+    def headroom(self) -> int:
+        return self._charge_budget
+
+    def writer(self, ops: List[WriteOp], blocking: bool):
+        """fn(frame, value) assigning through fixed ``ops``."""
+        if not blocking:
+            return lambda fr, value: self._nba.append((ops, value))
+        if len(ops) == 1:
+            op = ops[0]
+            signal = op.signal
+            if (not op.oob and op.mem_index is None and signal.kind == "var"
+                    and op.hi == signal.width - 1 and op.lo == 0
+                    and signal.name in self._values):
+                return self._whole_writer(signal)
+        return lambda fr, value: self.write(ops, value, True)
+
+    def _whole_writer(self, signal: Signal):
+        """Blocking write of a whole variable: ``_apply_write`` of the
+        value's low ``width`` bits, with the variable's signedness."""
+        values, notify = self._values, self._notify_change
+        name, width, signed = signal.name, signal.width, signal.signed
+
+        def write_whole(fr, value):
+            if value.width < width:
+                value = value.resize(width)
+            current = values[name]
+            new = Vec4(width, value.val, value.xz, value.z, signed)
+            if (new.val != current.val or new.xz != current.xz
+                    or new.z != current.z):
+                values[name] = new
+                notify(name, current, new)
+        return write_whole
 
     def write(self, ops: Sequence[WriteOp], value: Vec4,
               blocking: bool) -> None:
@@ -179,8 +241,8 @@ class Kernel:
         if decl.kind == "integer":
             width, msb, lsb, signed = 32, 31, 0, True
         elif decl.range is not None:
-            msb = self.evaluator.eval_const_int(decl.range.msb, scope)
-            lsb = self.evaluator.eval_const_int(decl.range.lsb, scope)
+            msb = self._const_int(decl.range.msb, scope)
+            lsb = self._const_int(decl.range.lsb, scope)
             width = abs(msb - lsb) + 1
         signal = Signal(name=key, width=width, signed=signed, kind="var",
                         msb=msb, lsb=lsb)
@@ -188,26 +250,47 @@ class Kernel:
         self._values[key] = Vec4.all_x(width, signed)
         scope.bind(decl.name, SignalBinding(signal=signal))
 
-    def system_task(self, stmt: ast.SystemTaskCall, scope: Scope) -> None:
+    def _const_int(self, expr: ast.Expr, scope: Scope) -> int:
+        value, fn, _ = self.compiler.module.const_int(expr, scope)
+        return value if value is not None else fn(self._frame)
+
+    def system_task_fn(self, stmt: ast.SystemTaskCall, scope: Scope):
+        """Compiled ``$display`` and friends: a no-argument closure.
+        Arguments are read as module code reads them, also when the
+        task runs inside a function."""
         name = stmt.name
         if name in ("$display", "$write", "$strobe", "$monitor",
                     "$displayb", "$displayh", "$error", "$warning",
                     "$info", "$fatal"):
-            text = self._format_display(stmt.args, scope)
-            self.display_output.append(text)
-            if name == "$fatal":
-                raise StopSimulation("$fatal")
-            return
+            output, frame = self.display_output, self._frame
+            args = [constant(a.value) if isinstance(a, ast.StringLiteral)
+                    else self.compiler.module.expr(a, scope)
+                    for a in stmt.args]
+            fmt = (stmt.args[0].value
+                   if stmt.args and isinstance(stmt.args[0], ast.StringLiteral)
+                   else None)
+
+            def display():
+                values = [arg(frame) for arg in args]
+                if fmt is not None:
+                    output.append(_format_verilog(fmt, values[1:], self.time))
+                else:
+                    output.append(_format_values(values))
+                if name == "$fatal":
+                    raise StopSimulation("$fatal")
+            return display
         if name in ("$finish", "$stop"):
-            raise StopSimulation(name)
+            def stop():
+                raise StopSimulation(name)
+            return stop
         if name in ("$readmemh", "$readmemb", "$dumpfile", "$dumpvars",
                     "$dumpon", "$dumpoff", "$timeformat", "$monitoron",
                     "$monitoroff", "$random", "$srandom"):
-            return  # accepted and ignored
-        raise SimulationError(f"unsupported system task {name!r}")
+            return lambda: None  # accepted and ignored
 
-    def _call_function(self, binding, args: List[Vec4]) -> Vec4:
-        return run_function(binding, args, self, self)
+        def unsupported():
+            raise SimulationError(f"unsupported system task {name!r}")
+        return unsupported
 
     # -- initialisation ------------------------------------------------------
 
@@ -236,6 +319,14 @@ class Kernel:
                 for edge, name in proc.triggers:
                     self._edge_sens.setdefault(name, []).append((index, edge))
 
+    def _compile_process(self, proc):
+        compiler = self.compiler
+        if isinstance(proc, CombProcess) and proc.assign is not None:
+            return self._compile_assign(proc)
+        if isinstance(proc, (CombProcess, EdgeProcess)):
+            return compiler.atomic(proc.body, proc.scope)
+        return compiler.thread(proc.body, proc.scope)
+
     def initialize(self) -> None:
         """Time-zero start-up: run every comb process once, launch
         threads, then settle."""
@@ -243,15 +334,10 @@ class Kernel:
             if isinstance(proc, CombProcess):
                 self._schedule_proc(index)
         for index, proc in enumerate(self.design.processes):
-            if isinstance(proc, InitialProcess):
+            if isinstance(proc, (InitialProcess, TimedAlwaysProcess)):
                 thread = _Thread(
-                    self._interp.exec_stmt(proc.body, proc.scope), index
-                )
-                self._run_thread(thread)
-            elif isinstance(proc, TimedAlwaysProcess):
-                thread = _Thread(
-                    self._interp.exec_stmt(proc.body, proc.scope), index,
-                    restart_body=True,
+                    self._compiled[index](self._frame), index,
+                    restart_body=isinstance(proc, TimedAlwaysProcess),
                 )
                 self._run_thread(thread)
         self.settle()
@@ -382,6 +468,11 @@ class Kernel:
 
     @staticmethod
     def _resolve_net(signal: Signal, contribs: Dict[int, Vec4]) -> Vec4:
+        if len(contribs) == 1:
+            # One driver: its contribution, with the net's signedness.
+            (only,) = contribs.values()
+            return Vec4(signal.width, only.val, only.xz, only.z,
+                        signal.signed)
         full = (1 << signal.width) - 1
         res_val, res_x, res_z = 0, 0, full
         for contrib in contribs.values():
@@ -400,28 +491,62 @@ class Kernel:
 
     # -- process execution -----------------------------------------------------
 
-    def _run_comb(self, proc: CombProcess) -> None:
-        if proc.assign is not None:
-            target, value_expr = proc.assign
-            target_scope = proc.target_scope or proc.scope
-            ops = resolve_lvalue(target, target_scope, self.evaluator)
-            total = sum(op.width for op in ops)
-            value = self.eval(value_expr, proc.scope, ctx_width=total)
-            if value.width < total:
-                value = value.resize(total, value.signed)
-            pieces = split_value_for_ops(value, ops)
-            for op, piece in zip(ops, pieces):
+    def _compile_assign(self, proc: CombProcess):
+        """A continuous assignment: nets take a driver contribution
+        (resolved against their other drivers), variables a write."""
+        target, value_expr = proc.assign
+        xc = self.compiler.module
+        ops, ops_fn = compile_lvalue(xc, target,
+                                     proc.target_scope or proc.scope)
+        driver_id = proc.driver_id
+
+        def value_at(total: int):
+            value, _ = xc.compile(value_expr, proc.scope, total)
+
+            def assigned(fr):
+                v = value(fr)
+                if v.width < total:
+                    v = v.resize(total, v.signed)
+                return v
+            return assigned
+
+        def drive(resolved, v):
+            for op, piece in zip(resolved, split_value_for_ops(v, resolved)):
                 if op.oob:
                     continue
                 if op.signal.kind == "net" and (
                     op.signal.name not in self.design.inputs
                 ):
                     contribution = self._contribution_for(op, piece)
-                    self._set_driver(op.signal, proc.driver_id, contribution)
+                    self._set_driver(op.signal, driver_id, contribution)
                 else:
                     self._apply_write(op, piece)
-            return
-        self._interp.run_atomic(proc.body, proc.scope)
+        if ops is None:
+            cache = {}
+
+            def assign_dynamic(fr):
+                resolved = ops_fn(fr)
+                total = sum(op.width for op in resolved)
+                value = cache.get(total)
+                if value is None:
+                    value = cache[total] = value_at(total)
+                drive(resolved, value(fr))
+            return assign_dynamic
+        value = value_at(sum(op.width for op in ops))
+        if len(ops) == 1:
+            op = ops[0]
+            signal = op.signal
+            if (not op.oob and op.hi == signal.width - 1 and op.lo == 0
+                    and signal.kind == "net"
+                    and signal.name not in self.design.inputs):
+                width, set_driver = signal.width, self._set_driver
+
+                def drive_whole(fr):
+                    v = value(fr)
+                    set_driver(signal, driver_id,
+                               Vec4(width, v.val, v.xz, v.z))
+                return drive_whole
+        return lambda fr: drive(ops, value(fr))
 
     @staticmethod
     def _contribution_for(op: WriteOp, piece: Vec4) -> Vec4:
@@ -432,9 +557,6 @@ class Kernel:
             resized = piece.resize(signal.width)
             return Vec4(signal.width, resized.val, resized.xz, resized.z)
         return base.set_slice(op.hi, op.lo, piece)
-
-    def _run_edge(self, proc: EdgeProcess) -> None:
-        self._interp.run_atomic(proc.body, proc.scope)
 
     def _run_thread(self, thread: _Thread) -> None:
         if thread.done or self.finished:
@@ -450,7 +572,7 @@ class Kernel:
                         "always block without sensitivity or timing "
                         f"controls (line {proc.line})"
                     )
-                thread.gen = self._interp.exec_stmt(proc.body, proc.scope)
+                thread.gen = self._compiled[thread.proc_index](self._frame)
                 self._active.append(thread)
             else:
                 thread.done = True
@@ -512,11 +634,11 @@ class Kernel:
                         if proc.body is not None:
                             self._running_always = entry
                         try:
-                            self._run_comb(proc)
+                            self._compiled[entry](self._frame)
                         finally:
                             self._running_always = None
                     elif isinstance(proc, EdgeProcess):
-                        self._run_edge(proc)
+                        self._compiled[entry](self._frame)
                 except StopSimulation:
                     self.finished = True
                     return
@@ -554,26 +676,19 @@ class Kernel:
                 return
             self.advance()
 
-    # -- $display formatting ---------------------------------------------------
 
-    def _format_display(self, args: List[ast.Expr], scope: Scope) -> str:
-        if not args:
-            return ""
-        first = args[0]
-        values = [self.eval(a, scope) if not isinstance(a, ast.StringLiteral)
-                  else a.value
-                  for a in args]
-        if isinstance(first, ast.StringLiteral):
-            return _format_verilog(first.value, values[1:], self.time)
-        parts = []
-        for value in values:
-            if isinstance(value, str):
-                parts.append(value)
-            elif value.has_unknown:
-                parts.append(value.to_bit_string())
-            else:
-                parts.append(str(value.signed_value()))
-        return " ".join(parts)
+
+def _format_values(values: List) -> str:
+    """``$display`` of arguments with no format string."""
+    parts = []
+    for value in values:
+        if isinstance(value, str):
+            parts.append(value)
+        elif value.has_unknown:
+            parts.append(value.to_bit_string())
+        else:
+            parts.append(str(value.signed_value()))
+    return " ".join(parts)
 
 
 def _format_verilog(fmt: str, values: List, time: int) -> str:

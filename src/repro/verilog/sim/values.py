@@ -171,6 +171,8 @@ class Vec4:
         """
         use_signed = self.signed if signed is None else signed
         if width == self.width:
+            if use_signed == self.signed:
+                return self
             return Vec4(width, self.val, self.xz, self.z, use_signed)
         if width < self.width:
             return Vec4(width, self.val, self.xz, self.z, use_signed)
@@ -187,7 +189,9 @@ class Vec4:
         return Vec4(width, val, xz, z, use_signed)
 
     def as_signed(self, signed: bool = True) -> "Vec4":
-        """Return a copy with the signed flag set to ``signed``."""
+        """Return the vector with the signed flag set to ``signed``."""
+        if signed == self.signed:
+            return self
         return Vec4(self.width, self.val, self.xz, self.z, signed)
 
     # -- bitwise operators -------------------------------------------------
@@ -502,46 +506,32 @@ class Vec4:
         width = high - low + 1
         if low >= self.width or high < 0:
             return Vec4.all_x(width)
-        val = xz = z = 0
-        extra_x = 0
-        for offset in range(width):
-            pos = low + offset
-            bit = 1 << offset
-            if pos < 0 or pos >= self.width:
-                extra_x |= bit
-                continue
-            src = 1 << pos
-            if self.val & src:
-                val |= bit
-            if self.xz & src:
-                xz |= bit
-            if self.z & src:
-                z |= bit
-        return Vec4(width, val, xz | extra_x, z, False)
+        if low >= 0:
+            val, xz, z = self.val >> low, self.xz >> low, self.z >> low
+        else:
+            val, xz, z = self.val << -low, self.xz << -low, self.z << -low
+            xz |= _mask(-low)
+        inside = self.width - low
+        if inside < width:
+            xz |= _mask(width) & ~_mask(inside)
+        return Vec4(width, val, xz, z, False)
 
     def set_slice(self, high: int, low: int, value: "Vec4") -> "Vec4":
         """Return a copy with bits ``[high:low]`` replaced by ``value``."""
         if high < low:
             raise ValueError(f"invalid slice [{high}:{low}]")
-        width = high - low + 1
-        value = value.resize(width, False)
-        val, xz, z = self.val, self.xz, self.z
-        for offset in range(width):
-            pos = low + offset
-            if pos < 0 or pos >= self.width:
-                continue
-            dst = 1 << pos
-            src = 1 << offset
-            val &= ~dst
-            xz &= ~dst
-            z &= ~dst
-            if value.val & src:
-                val |= dst
-            if value.xz & src:
-                xz |= dst
-            if value.z & src:
-                z |= dst
-        return Vec4(self.width, val, xz, z, self.signed)
+        value = value.resize(high - low + 1, False)
+        lo, hi = max(low, 0), min(high, self.width - 1)
+        if lo > hi:
+            return Vec4(self.width, self.val, self.xz, self.z, self.signed)
+        keep = ~(_mask(hi - lo + 1) << lo)
+        if low >= 0:
+            val, xz, z = value.val << low, value.xz << low, value.z << low
+        else:
+            val, xz, z = value.val >> -low, value.xz >> -low, value.z >> -low
+        return Vec4(self.width, (self.val & keep) | (val & ~keep),
+                    (self.xz & keep) | (xz & ~keep),
+                    (self.z & keep) | (z & ~keep), self.signed)
 
 
 def concat_all(parts: Iterable[Vec4]) -> Vec4:

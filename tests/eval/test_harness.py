@@ -149,6 +149,29 @@ class TestEvaluateModel:
         assert [r.to_dict() for r in serial.results] == [
             r.to_dict() for r in threaded.results]
 
+    @pytest.mark.parametrize("executor", [
+        ParallelExecutor.serial(),
+        ParallelExecutor(mode="thread", max_workers=4),
+    ], ids=["serial", "thread"])
+    def test_failure_counters_match_histogram(self, executor):
+        from repro.model.generator import CODELLAMA_7B, ConditionalCodeModel
+        from repro.obs import Observability
+
+        problems = build_machine_problems()[:8]
+        obs = Observability()
+        report = evaluate_model(
+            ConditionalCodeModel(CODELLAMA_7B, seed=5), problems,
+            EvalConfig(n_samples=5, seed=9, n_test_vectors=8),
+            executor=executor, obs=obs)
+        histogram = report.failure_histogram()
+        assert sum(histogram.values()) > 0
+        counters = obs.registry.counters("eval.failure.")
+        assert counters == {f"eval.failure.{kind}": count
+                            for kind, count in histogram.items()}
+        assert (sum(counters.values()) + obs.registry.counters(
+            "eval.passed")["eval.passed"]
+            == obs.registry.counters("eval.samples")["eval.samples"])
+
     def test_trace_reports_fanout_and_cache(self):
         problems = build_machine_problems()[:4]
         report = evaluate_model(

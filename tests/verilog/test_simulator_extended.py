@@ -74,6 +74,57 @@ class TestSelects:
         assert sim.peek_int("q") == 0xFF
 
 
+class TestMemoryElementSelects:
+    """Selects on ``mem[i]`` map bits through the element's declared
+    range, reading and writing alike."""
+
+    @staticmethod
+    def _position(rng, index):
+        msb, lsb = rng
+        return index - lsb if msb >= lsb else lsb - index
+
+    @pytest.mark.parametrize("rng", [(8, 1), (0, 7)])
+    @pytest.mark.parametrize("select,width", [
+        ("[{b}]", 1), ("[{p}:{q}]", 4), ("[{b} +: 3]", 3), ("[{c} -: 2]", 2),
+    ])
+    def test_select_reads_back_what_it_wrote(self, rng, select, width):
+        msb, lsb = rng
+        # Declared indices: b a bit, p:q a nibble, c an indexed start.
+        b, c = (3, 6) if msb > lsb else (5, 2)
+        p, q = (4, 1) if msb > lsb else (0, 3)
+        sel = select.format(b=b, p=p, q=q, c=c)
+        sim = Simulator(f"""
+            module m(input clk, input [1:0] a, input [{width - 1}:0] d,
+                     output [{width - 1}:0] y);
+              reg [{msb}:{lsb}] mem [0:3];
+              integer k;
+              initial for (k = 0; k < 4; k = k + 1) mem[k] = 8'hA5;
+              always @(posedge clk) mem[a]{sel} <= d;
+              assign y = mem[a]{sel};
+            endmodule""")
+        sim.poke("clk", 0)
+        sim.poke("a", 2)
+        # Physical bits of the select, MSB first, in a vector of 8'hA5.
+        if select.startswith("[{b}]"):
+            declared = [b]
+        elif select.startswith("[{p}"):
+            step = -1 if p > q else 1
+            declared = list(range(p, q + step, step))
+        elif "+:" in select:
+            declared = ([b + 2, b + 1, b] if msb > lsb else [b, b + 1, b + 2])
+        else:
+            declared = ([c, c - 1] if msb > lsb else [c - 1, c])
+        expected = 0
+        for index in declared:
+            bit = (0xA5 >> self._position(rng, index)) & 1
+            expected = (expected << 1) | bit
+        assert sim.peek_int("y") == expected
+        for value in range(1 << width):
+            sim.poke("d", value)
+            sim.clock("clk")
+            assert sim.peek_int("y") == value
+
+
 class TestCaseVariants:
     def test_casez_wildcards(self):
         sim = Simulator("""
