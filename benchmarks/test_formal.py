@@ -1,6 +1,6 @@
-"""Formal-tier hot paths: memoized elaboration, checking, scoring.
+"""Formal-tier hot paths: memoized elaboration and checking.
 
-Three numbers this PR is accountable for, emitted to
+Two numbers this PR is accountable for, emitted to
 ``BENCH_formal.json`` (uploaded as a CI artifact):
 
 * **Memoized elaboration** — the design tier of the content-keyed
@@ -12,10 +12,6 @@ Three numbers this PR is accountable for, emitted to
   designs (designs per second) plus a combinational equivalence-check
   rate; recorded for trajectory, no floor (BDD costs are by nature
   design-dependent).
-* **Vectorised score mapping** — the numpy penalty→score path in
-  ``repro.dataset.ranking`` against the scalar fallback, mapping-only
-  (linting dominates end-to-end and is measured separately by the
-  pipeline benchmarks).
 
 Deliberately free of ``pytest-benchmark``: the CI smoke job runs this
 file both as a test and as a plain script (``python
@@ -32,7 +28,6 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.corpus.templates import generate_design
-from repro.dataset.ranking import _scores_from_penalties, score_from_penalty
 from repro.verilog.formal import check_equivalence, verify_design
 from repro.verilog.frontend import FrontEndMemo
 from repro.verilog.sim.elaborate import elaborate
@@ -112,20 +107,6 @@ def run_formal_benchmark(n_designs: int, n_passes: int = 3) -> Dict[str, Any]:
         assert report.status == "equivalent"
     equiv_s = time.perf_counter() - started
 
-    # -- vectorised score mapping --------------------------------------
-    rng = random.Random(7)
-    n_rows = 50_000
-    penalties = [rng.uniform(0.0, 12.0) for _ in range(n_rows)]
-    failed = [rng.random() < 0.1 for _ in range(n_rows)]
-    started = time.perf_counter()
-    vectorised = _scores_from_penalties(penalties, failed)
-    vector_s = time.perf_counter() - started
-    started = time.perf_counter()
-    scalar = [0 if f else score_from_penalty(p)
-              for p, f in zip(penalties, failed)]
-    scalar_s = time.perf_counter() - started
-    assert vectorised == scalar  # bit-for-bit parity, not just speed
-
     return {
         "schema": "pyranet-bench-formal/v1",
         "n_designs": n_designs,
@@ -146,19 +127,12 @@ def run_formal_benchmark(n_designs: int, n_passes: int = 3) -> Dict[str, Any]:
             "equivalence_s": round(equiv_s, 4),
             "equivalence_per_s": round(n_equiv_checks / equiv_s, 1),
         },
-        "scoring": {
-            "n_rows": n_rows,
-            "vector_s": round(vector_s, 4),
-            "scalar_s": round(scalar_s, 4),
-            "speedup": round(scalar_s / vector_s, 2),
-        },
     }
 
 
 def summary_lines(payload: Dict[str, Any]) -> list:
     memo = payload["memo"]
     check = payload["check"]
-    scoring = payload["scoring"]
     return [
         "Formal-tier benchmark "
         f"({payload['n_designs']} designs x {payload['n_passes']} passes)",
@@ -172,9 +146,6 @@ def summary_lines(payload: Dict[str, Any]) -> list:
         f"{check['n_verified']} verified)",
         f"  check_equivalence : {check['equivalence_s']:8.3f} s  "
         f"({check['equivalence_per_s']:.1f}/s)",
-        f"  score mapping     : {scoring['scalar_s']:8.4f} s scalar vs "
-        f"{scoring['vector_s']:8.4f} s vectorised "
-        f"({scoring['speedup']:.1f}x on {scoring['n_rows']} rows)",
     ]
 
 
@@ -205,9 +176,8 @@ def test_formal_bench(scale, capsys, tmp_path):
 
 def main() -> None:
     parser = argparse.ArgumentParser(
-        description="Benchmark the formal tier's memoized elaboration, "
-                    "check throughput, and vectorised scoring; write "
-                    "BENCH_formal.json")
+        description="Benchmark the formal tier's memoized elaboration "
+                    "and check throughput; write BENCH_formal.json")
     parser.add_argument(
         "--quick", action="store_true",
         help="small corpus (CI smoke scale)")

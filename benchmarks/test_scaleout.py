@@ -1,12 +1,14 @@
-"""Streaming curate path: memory boundedness and shard-parallel speedup.
+"""Curation at scale: memory boundedness and shard-parallel speedup.
 
-Numbers this PR is accountable for, emitted to ``BENCH_scaleout.json``
-(uploaded as a CI artifact) so later PRs have a trajectory to beat:
+Numbers emitted to ``BENCH_scaleout.json`` (uploaded as a CI artifact)
+so later changes have a trajectory to beat:
 
-* **Golden byte-identity** — the streamed pipeline's output (dataset
-  rows, layer assignment, drop histogram, dedup keep/drop decisions)
-  checksummed against the in-memory pipeline on a seeded corpus
-  (5 000 files at standard scale).  Asserted exactly, always.
+* **Golden byte-identity** — the output of a run that spills its
+  survivors to disk, and so dedups through the partitioned merge
+  (dataset rows, layer assignment, drop histogram, dedup keep/drop
+  decisions), checksummed against an in-memory run, which dedups
+  through ``build_family_artifacts``, on a seeded corpus (5 000 files
+  at standard scale).  Asserted exactly, always.
 * **Flat RSS** — parent-process peak RSS of a streaming curate with
   disk spill, measured in *fresh subprocesses* (``VmHWM`` is monotone
   per process, so each point needs its own process) at two corpus
@@ -94,10 +96,7 @@ def run_measurement(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     from repro.corpus.github_sim import GitHubScrapeSimulator
     from repro.dataset.pipeline import CurationPipeline
-    from repro.dataset.streaming import (
-        StreamingCurationPipeline,
-        raw_file_batches,
-    )
+    from repro.dataset.streaming import raw_file_batches
     from repro.obs import rss_peak_bytes
     from repro.pipeline import ParallelExecutor
 
@@ -118,7 +117,7 @@ def run_measurement(spec: Dict[str, Any]) -> Dict[str, Any]:
         source = raw_file_batches(scraper.iter_scrape(
             n_files, batch_size=BATCH_SIZE, candidate_window=window))
         with tempfile.TemporaryDirectory() as workdir:
-            pipeline = StreamingCurationPipeline(
+            pipeline = CurationPipeline(
                 seed=SEED, batch_size=BATCH_SIZE,
                 n_partitions=N_PARTITIONS, executor=executor,
                 spill_dir=Path(workdir) / "spill")
@@ -167,7 +166,8 @@ def measure_in_subprocess(spec: Dict[str, Any]) -> Dict[str, Any]:
 def run_scaleout_benchmark(preset: str) -> Dict[str, Any]:
     golden_n, rss_small_n, rss_large_n, speedup_n = PRESETS[preset]
 
-    # 1) Golden byte-identity: in-memory vs streamed, same seed.
+    # 1) Golden byte-identity: the in-memory reduce vs the spilled,
+    #    partitioned one, same seed.
     mem = measure_in_subprocess({"mode": "mem", "n_files": golden_n})
     streamed = measure_in_subprocess(
         {"mode": "stream", "n_files": golden_n})
@@ -266,7 +266,7 @@ def check_floors(payload: Dict[str, Any]) -> None:
     golden, rss, speed = (payload["golden"], payload["rss"],
                           payload["speedup"])
     assert golden["identical"], (
-        "streamed output diverged from the in-memory pipeline: "
+        "the spilled run diverged from the in-memory one: "
         f"{golden['stream_checksum']} != {golden['mem_checksum']}")
     assert rss["rss_growth"] <= RSS_GROWTH_CEILING, (
         f"streaming RSS is not flat: {rss['rss_growth']}x growth for a "

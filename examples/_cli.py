@@ -13,13 +13,9 @@ Every ``examples/*.py`` accepts the same flags:
     counters, histograms — as one schema-versioned JSON artifact;
 ``--parallel``
     run fan-out-capable stages on a thread pool;
-``--stream``
-    curate through the memory-bounded streaming path where the script
-    has one (byte-identical output; scripts without a streaming path
-    say so and continue);
 ``--workers N``
-    with ``--stream``, fan the fused stage workers out over an
-    N-process pool (default: in-process serial);
+    fan stage work out over an N-process pool instead (default:
+    in-process serial);
 ``--store-dir PATH``
     write/read the sharded dataset store where the script has one
     (scripts with nothing to store say so and continue);
@@ -79,13 +75,8 @@ def build_parser(description: str,
         "--parallel", action="store_true",
         help="run fan-out-capable stages on a thread pool")
     parser.add_argument(
-        "--stream", action="store_true",
-        help="use the memory-bounded streaming curate path "
-             "(byte-identical output)")
-    parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="with --stream: fan fused stage workers out over an "
-             "N-process pool")
+        help="fan stage work out over an N-process pool")
     parser.add_argument(
         "--store-dir", metavar="PATH", default=None,
         help="write/read the sharded dataset store at PATH")
@@ -136,13 +127,6 @@ def executor_from(args: argparse.Namespace) -> Optional[ParallelExecutor]:
     return ParallelExecutor(mode="thread") if args.parallel else None
 
 
-def note_unused_stream(args: argparse.Namespace) -> None:
-    """For scripts with no streaming curate path: acknowledge the flag."""
-    if getattr(args, "stream", False):
-        print("(--stream: this example has no streaming curate path; "
-              "ignored)")
-
-
 def resilience_from(args: argparse.Namespace,
                     obs: Optional[Observability] = None,
                     ) -> Optional[Resilience]:
@@ -167,8 +151,7 @@ def cache_from(args: argparse.Namespace, obs: Observability,
                name: str = "curation") -> Optional[ResultCache]:
     """A :class:`ResultCache` with a persistent disk tier under
     ``--cache-dir`` (namespaced per cache name so curation and eval
-    entries never share a directory), else None (caller default — a
-    private in-memory cache)."""
+    entries never share a directory), else None (caller default)."""
     if not args.cache_dir:
         return None
     return ResultCache(

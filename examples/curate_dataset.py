@@ -1,32 +1,32 @@
 """Run the PyraNet curation pipeline and inspect the layers.
 
 Simulates the GitHub scrape and the Fig. 2 commercial-LLM generation
-pipeline, pushes everything through the filters / dedup / syntax-check
-/ labelling stages, prints the pyramid and the per-stage trace, and
-saves the dataset as JSONL.
+pipeline, streams everything through the filters / dedup / syntax-check
+/ labelling stages batch by batch (the scrape is consumed lazily),
+prints the pyramid and the per-stage trace, and saves the dataset as
+JSONL.
 
     python examples/curate_dataset.py
     python examples/curate_dataset.py --parallel --report-json report.json
     python examples/curate_dataset.py --store-dir pyranet_store
-    python examples/curate_dataset.py --stream --workers 4
+    python examples/curate_dataset.py --workers 4 --cache-dir .cache
 
 All examples share one CLI (see ``_cli.py``): ``--report-json PATH``
 writes the full machine-readable pipeline report (funnel counters,
 layer sizes, and the per-stage trace with wall times, drop reasons, and
 cache hit rates) so runs can be diffed between revisions;
 ``--trace-json PATH`` writes the merged run report (spans + metrics)
-from the unified observability layer; ``--parallel`` runs per-file
-stages on a thread pool; ``--store-dir PATH`` additionally writes the
+from the unified observability layer; ``--parallel`` runs the batched
+stages on a thread pool and ``--workers N`` on an N-process pool;
+``--store-dir PATH`` additionally writes the
 dataset as a sharded, content-addressed store (see :mod:`repro.store`)
 and demonstrates an indexed layer read plus curriculum serving straight
 off the shards; ``--cache-dir PATH`` persists the syntax-check /
 ranking / description results on disk so a second run over the same
-corpus serves them from the cache instead of recomputing; ``--resume RUN_ID`` journals progress so a killed run
-picks up from its last checkpoint; ``--fault-plan PATH`` injects a
-deterministic fault schedule (resilience drills); ``--stream`` curates
-through the memory-bounded streaming path (the scrape is consumed
-lazily, output is byte-identical) and ``--workers N`` fans its fused
-stage workers out over an N-process pool; ``--families`` writes the
+corpus serves them from the cache instead of recomputing;
+``--resume RUN_ID`` journals progress so a killed run picks up from its
+last checkpoint; ``--fault-plan PATH`` injects a deterministic fault
+schedule (resilience drills); ``--families`` writes the
 run's design-family report (near-duplicate variant graphs with
 detection evidence) as ``families.json`` next to the store.
 """
@@ -41,7 +41,6 @@ from repro.corpus import (
 )
 from repro.dataset import (
     CurationPipeline,
-    StreamingCurationPipeline,
     chain_batches,
     generated_batches,
     raw_file_batches,
@@ -58,14 +57,8 @@ def main() -> None:
     obs = _cli.observability_from(args)
     print("1) Scraping (simulated GitHub population)…")
     scraper = GitHubScrapeSimulator(seed=args.seed)
-    if args.stream:
-        raw_files = None
-        print("   streaming: the 500-file scrape is consumed lazily "
-              "in step 3, one batch at a time")
-    else:
-        raw_files = scraper.scrape(500)
-        print(f"   collected {len(raw_files)} files, e.g. "
-              f"{raw_files[0].path!r}")
+    print("   the 500-file scrape is consumed lazily in step 3, "
+          "one batch at a time")
 
     print("\n2) Generating extra samples with the commercial LLM "
           "(Fig. 2 pipeline)…")
@@ -86,30 +79,18 @@ def main() -> None:
     executor = _cli.executor_from(args) or ParallelExecutor.serial()
     resilience = _cli.resilience_from(args, obs=obs)
     cache = _cli.cache_from(args, obs)
-    if args.stream:
-        mode = executor.describe()
-        print(f"   streaming curate path ({mode['mode']} workers, "
-              "bounded batches; output is byte-identical to the "
-              "in-memory pipeline)")
-        if cache is not None:
-            print(f"    (--cache-dir {args.cache_dir}: the streaming "
-                  "path has no per-record cache; ignored)")
-        source = chain_batches(
-            raw_file_batches(scraper.iter_scrape(500, batch_size=128)),
-            generated_batches(generated, batch_size=128),
-        )
-        result = StreamingCurationPipeline(
-            seed=args.seed, batch_size=128, executor=executor,
-            obs=obs, resilience=resilience,
-        ).run_stream(source, source_token=f"curate-example:{args.seed}")
-    else:
-        result = CurationPipeline(seed=args.seed, executor=executor,
-                                  obs=obs, cache=cache,
-                                  resilience=resilience).run(raw_files,
-                                                             generated)
+    print(f"   {executor.describe()['mode']} workers, batches of 128")
+    source = chain_batches(
+        raw_file_batches(scraper.iter_scrape(500, batch_size=128)),
+        generated_batches(generated, batch_size=128),
+    )
+    result = CurationPipeline(
+        seed=args.seed, batch_size=128, executor=executor, cache=cache,
+        obs=obs, resilience=resilience,
+    ).run_stream(source, source_token=f"curate-example:{args.seed}")
     if resilience is not None:
         print("    resilience:", resilience.summary())
-    if cache is not None and not args.stream:
+    if cache is not None:
         disk = cache.stats()["disk"]
         print(f"    cache dir {args.cache_dir}: "
               f"{disk['hits']} disk hits, {disk['misses']} misses, "

@@ -41,7 +41,6 @@ def main() -> None:
     obs = _cli.observability_from(args)
     _cli.note_unused_store(args)
     _cli.note_unused_families(args)
-    _cli.note_unused_stream(args)
 
     pyranet = PyraNet(seed=args.seed, n_samples=args.n_samples,
                       n_test_vectors=12, obs=obs,

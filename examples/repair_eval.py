@@ -64,9 +64,9 @@ def main() -> None:
 
     store_facets = None
     if args.store_dir:
-        from repro.dataset.streaming import StreamingCurationPipeline
+        from repro.dataset import CurationPipeline
 
-        pipeline = StreamingCurationPipeline(seed=args.seed, obs=obs)
+        pipeline = CurationPipeline(seed=args.seed, obs=obs)
         outcome = pipeline.curate_to_store(
             repair_trajectory_batches(
                 n_candidates=args.n_candidates, seed=args.seed,

@@ -55,7 +55,6 @@ def main() -> None:
     parser = _cli.add_service_flags(_cli.build_parser(
         "Serve PyraNet curation/finetune/eval as HTTP jobs"))
     args = parser.parse_args()
-    _cli.note_unused_stream(args)
     _cli.note_unused_store(args)
     _cli.note_unused_cache(args)
 

@@ -116,7 +116,7 @@ class PyraNet:
     _eval_cache: ResultCache = field(default_factory=ResultCache)
     #: Curation per-file results (syntax check, ranking, descriptions);
     #: only built when ``cache_dir`` asks for persistence — otherwise
-    #: the pipeline keeps its private in-memory cache.
+    #: curation runs uncached.
     _curation_cache: Optional[ResultCache] = None
 
     def __post_init__(self) -> None:
@@ -140,23 +140,18 @@ class PyraNet:
         n_llm_prompts: int = 30,
         n_queries_per_prompt: int = 8,
         dedup_threshold: float = 0.8,
-        stream: bool = False,
-        workers: Optional[int] = None,
         batch_size: int = 256,
         spill_dir: Optional[str] = None,
     ) -> PyraNetDataset:
         """Synthesize + curate the PyraNet dataset.
 
-        ``stream=True`` routes curation through the memory-bounded
-        :class:`~repro.dataset.streaming.StreamingCurationPipeline`
-        (byte-identical output); ``workers=N`` fans the fused stages
-        out over a process pool, and ``spill_dir`` keeps survivor /
-        shuffle state on disk instead of in memory.
+        Curation fans its batches out over ``self.executor``;
+        ``spill_dir`` keeps survivor / shuffle state on disk instead of
+        in memory.
         """
         with self.obs.span("run.build_dataset",
                            n_github_files=n_github_files,
-                           n_llm_prompts=n_llm_prompts,
-                           stream=stream) as span:
+                           n_llm_prompts=n_llm_prompts) as span:
             self.curation = build_pyranet(
                 n_github_files=n_github_files,
                 n_llm_prompts=n_llm_prompts,
@@ -167,8 +162,6 @@ class PyraNet:
                 cache=self._curation_cache,
                 obs=self.obs,
                 resilience=self.resilience,
-                stream=stream,
-                workers=workers,
                 batch_size=batch_size,
                 spill_dir=spill_dir,
             )

@@ -88,6 +88,12 @@ def _perm_params(seed: int, index: int) -> Tuple[int, int]:
     return a, b
 
 
+#: MinHash permutations and LSH bands: the defaults of every dedup entry
+#: point, and what curation signs and buckets with.
+N_PERM = 64
+BANDS = 16
+
+
 @dataclass
 class MinHasher:
     """MinHash signatures over shingle sets.
@@ -103,7 +109,7 @@ class MinHasher:
     pure-Python fallback computes the identical integers.
     """
 
-    n_perm: int = 64
+    n_perm: int = N_PERM
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -185,8 +191,8 @@ class DedupReport:
 def deduplicate(
     codes: Sequence[str],
     threshold: float = 0.8,
-    n_perm: int = 64,
-    bands: int = 16,
+    n_perm: int = N_PERM,
+    bands: int = BANDS,
     hasher: Optional[MinHasher] = None,
     shingle_sets: Optional[Sequence[FrozenSet[str]]] = None,
     signatures: Optional[Sequence[Tuple[int, ...]]] = None,
@@ -395,8 +401,8 @@ def resolve_duplicates(
 def deduplicate_partitioned(
     codes: Sequence[str],
     threshold: float = 0.8,
-    n_perm: int = 64,
-    bands: int = 16,
+    n_perm: int = N_PERM,
+    bands: int = BANDS,
     n_partitions: int = 4,
     hasher: Optional[MinHasher] = None,
     partition_of=None,

@@ -25,10 +25,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
+                    Tuple)
 
 from ..obs.reportable import report_json, strip_schema
 from .dedup import (
+    BANDS,
+    N_PERM,
     DedupReport,
     MinHasher,
     deduplicate,
@@ -315,10 +318,6 @@ class FamilyIndex:
                 self._similarity[variant.index] = variant.similarity
 
     @classmethod
-    def empty(cls, seed: int, threshold: float) -> "FamilyIndex":
-        return cls([], seed, threshold)
-
-    @classmethod
     def build(
         cls,
         duplicate_of: Dict[int, int],
@@ -499,8 +498,10 @@ def build_family_artifacts(
     threshold: float,
     seed: int,
     hasher: Optional[MinHasher] = None,
-    n_perm: int = 64,
-    bands: int = 16,
+    n_perm: int = N_PERM,
+    bands: int = BANDS,
+    shingle_sets: Optional[Sequence[FrozenSet[str]]] = None,
+    signatures: Optional[Sequence[Tuple[int, ...]]] = None,
 ) -> Tuple[DedupReport, FamilyIndex]:
     """Dedup + family clustering off **one** set of signatures.
 
@@ -510,15 +511,18 @@ def build_family_artifacts(
     the collision forest.  ``indices`` are the ascending corpus indices
     of ``codes``; ``meta_for(index)`` supplies the per-file metadata
     (path/origin/modules) lazily — it is only called for indices that
-    end up in a family.
+    end up in a family.  ``shingle_sets`` / ``signatures`` are as
+    :func:`~.dedup.deduplicate`'s: a caller that has already signed the
+    codes passes them in and nothing is tokenised or hashed here.
     """
     if list(indices) != sorted(indices):
         raise ValueError("indices must be ascending corpus indices")
     if hasher is None:
         hasher = MinHasher(n_perm)
-    shingle_sets = [tokenize_for_dedup(code) for code in codes]
-    signatures = [hasher.signature(shingles)
-                  for shingles in shingle_sets]
+    if shingle_sets is None and signatures is None:
+        shingle_sets = [tokenize_for_dedup(code) for code in codes]
+        signatures = [hasher.signature(shingles)
+                      for shingles in shingle_sets]
     report = deduplicate(codes, threshold=threshold, bands=bands,
                          hasher=hasher, shingle_sets=shingle_sets,
                          signatures=signatures)

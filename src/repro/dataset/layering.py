@@ -17,7 +17,7 @@ them, which :func:`assign_layers` checks and reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .records import CompileStatus, Complexity, DatasetEntry
 
@@ -87,9 +87,13 @@ class LayerReport:
         )
 
 
-def assign_layers(entries: List[DatasetEntry]) -> LayerReport:
-    """Assign ``entry.layer`` in place and report the population."""
-    report = LayerReport()
+def assign_layers(entries: List[DatasetEntry],
+                  report: Optional[LayerReport] = None) -> LayerReport:
+    """Assign ``entry.layer`` in place and add the entries to ``report``
+    (a new one by default), which is returned.  Called batch by batch
+    with one report, it reports the population of all the batches."""
+    if report is None:
+        report = LayerReport()
     for entry in entries:
         entry.layer = layer_for(entry)
         report.sizes[entry.layer] = report.sizes.get(entry.layer, 0) + 1
@@ -99,6 +103,7 @@ def assign_layers(entries: List[DatasetEntry]) -> LayerReport:
         coverage[entry.complexity.label] = coverage.get(
             entry.complexity.label, 0) + 1
     all_levels = [c.label for c in Complexity]
+    report.missing_complexities.clear()
     for number in range(1, 6):
         present = set(report.complexity_coverage.get(number, {}))
         missing = [label for label in all_levels if label not in present]

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..verilog import lint
 from ..verilog.style import StyleReport
-
-try:  # pragma: no cover - exercised via the parity test
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 @dataclass
@@ -71,34 +66,6 @@ def rank_code(code: str) -> RankingResult:
 def score_code(code: str) -> int:
     """Just the 0–20 score."""
     return rank_code(code).score
-
-
-def _scores_from_penalties(penalties: Sequence[float],
-                           parse_failed: Sequence[bool]) -> List[int]:
-    """Penalty totals → scores, vectorised when numpy is present.
-
-    Must agree bit-for-bit with :func:`score_from_penalty` /
-    :func:`rank_code` — the parity test pins this.
-    """
-    if _np is not None and len(penalties) >= 8:
-        raw = 20.0 - PENALTY_TO_POINTS * _np.asarray(penalties,
-                                                     dtype=_np.float64)
-        scores = _np.clip(_np.floor(raw + 0.5), 1, 20).astype(_np.int64)
-        failed = _np.asarray(parse_failed, dtype=bool)
-        scores[failed] = 0
-        return [int(s) for s in scores]
-    return [0 if failed else score_from_penalty(penalty)
-            for penalty, failed in zip(penalties, parse_failed)]
-
-
-def score_many(codes: Sequence[str]) -> List[int]:
-    """Scores for a batch: one lint pass per sample, then a single
-    vectorised penalty→score mapping (identical to :func:`score_code`
-    per element)."""
-    reports = [lint(code) for code in codes]
-    return _scores_from_penalties(
-        [report.penalty for report in reports],
-        [report.parse_failed for report in reports])
 
 
 def format_ranking_prompt(code: str) -> str:

@@ -1,68 +1,97 @@
-"""Streaming shard-parallel curation: the memory-bounded curate path.
+"""Dataset curation (paper Section III-A): one batched dataflow.
 
-:class:`StreamingCurationPipeline` produces *exactly* the dataset the
-in-memory :class:`~.pipeline.CurationPipeline` produces — same entries,
-same layer assignment, same drop histogram, same dedup keep/drop
-decisions (golden-tested) — without ever materialising the corpus.
-The corpus flows through three phases as bounded record batches:
+:class:`CurationPipeline` turns a raw file population (scraped +
+LLM-generated) into a layered :class:`~.records.PyraNetDataset` without
+ever materialising the corpus.  Records flow through three phases as
+bounded batches, fanned out through
+:meth:`~repro.pipeline.ParallelExecutor.stream_map`:
 
-1. **filter + sign** (``empty_broken → module_decl`` fused per batch,
-   fanned out through :meth:`ParallelExecutor.stream_map`): surviving
-   records are spilled batch-at-a-time; their MinHash-LSH band keys are
-   routed to band partitions (PR 5's vectorised signatures, computed in
-   the workers).
-2. **distributed dedup**: each partition owns a set of band keys and
-   emits its colliding index pairs with
-   :func:`~.dedup.band_candidate_pairs` — a pure, shared-nothing map
-   side.  A single ascending resolve pass over the spilled survivors
-   then replays the sequential algorithm's decisions exactly (see the
-   equivalence argument in :mod:`.dedup`), holding only the shingle
-   sets still referenced by unresolved candidate pairs.
-3. **label** (``syntax_check → rank_label → describe`` fused per
-   batch): kept records stream back through the workers; the parent
-   assembles :class:`DatasetEntry` rows in order (entry ids depend on
-   the global post-syntax position, which only the parent knows),
-   assigns layers incrementally, and hands entries to the caller —
-   an in-memory dataset for :meth:`run` / :meth:`run_stream`, or a
-   :class:`~repro.store.writer.ShardWriter` for
-   :meth:`curate_to_store`, which never holds more than a shard.
+1. **filter + sign** (``empty_broken → module_decl`` fused per batch):
+   the cheap filters, then each survivor's token shingles and MinHash
+   signature.  Survivors are kept batch by batch, in memory or spilled
+   under ``spill_dir``.
+2. **dedup + families**: the Jaccard dedup decisions and the design
+   families built from them (the reduce is chosen below).
+3. **label** (``syntax_check → rank_label → formal_verify → describe``
+   fused per batch, one front-end memo scope each, plus the family
+   description of every canonical): the parent assembles
+   :class:`DatasetEntry` rows in order (entry ids depend on the global
+   post-syntax position, which only the parent knows), layers each
+   batch with :func:`~.layering.assign_layers`, and hands entries to
+   the caller — an in-memory dataset for :meth:`run` /
+   :meth:`run_stream`, or a :class:`~repro.store.writer.ShardWriter`
+   for :meth:`curate_to_store`, which never holds more than a shard.
 
-Differences from the in-memory engine path, by design:
+**The dedup reduce follows where the survivors live.**  In memory,
+phase 1 returns each survivor's shingle set and signature and
+:func:`~.families.build_family_artifacts` runs the sequential
+:func:`~.dedup.deduplicate` and the collision forest over them.
+Spilled to disk, holding every shingle set at once would defeat the
+spill, so phase 1 routes band keys to partitions instead: each
+partition emits its colliding pairs (:func:`~.dedup.band_candidate_pairs`,
+a shared-nothing map side) and one ascending resolve pass over the
+spilled survivors replays the sequential decisions exactly (see the
+equivalence argument in :mod:`.dedup`), holding only the shingle sets
+still referenced by unresolved pairs.  The partitioned reduce is the
+only one that bounds memory; the in-memory one expands no candidate
+pairs and tokenises no survivor twice.  Both give the same bytes.
 
-* per-record caching and retry/quarantine shields are not applied
-  inside the fused workers (stage functions are pure; a failed batch
-  fails the run or resumes from its checkpoint);
-* wall time is attributed to the first stage of each fused phase in
-  the trace (``empty_broken``, ``dedup``, ``syntax_check``); counts and
-  drops are per-stage and identical to the in-memory trace.
+**Cache.**  A :class:`~repro.pipeline.ResultCache` holds each record's
+label outcome under its content.  The parent looks records up before a
+batch is dispatched and fills misses in when it returns, so workers
+need no cache, and a warm run over an unchanged corpus recomputes no
+syntax check, ranking, formal check or description.  The phase's hits
+and misses are reported on the ``syntax_check`` stage.
 
-With a :class:`~repro.resilience.Checkpointer` on the resilience
-runtime, phase-1 and phase-3 batches are journaled as they complete
-and a killed run resumes without recomputing them — the dedup merge is
-recomputed from the (identical) journaled phase-1 outputs.  Resuming
-requires re-supplying the same source stream and ``source_token``.
+**Resilience.**  With a :class:`~repro.resilience.Resilience` runtime,
+each record's work at each label stage runs behind that stage's
+:class:`~repro.resilience.StageShield` guard (sites
+``stage.syntax_check``, ``stage.rank_label``, ``stage.formal_verify``,
+``stage.describe``; call ordinals count in input order).  Guards cross
+process pools; their retry and quarantine markers come back with the
+batch and are settled in the parent.  A quarantined record is dropped
+as ``quarantined:<error_type>`` at its stage and filed in the
+dead-letter report.  With a checkpointer, phase-1 and phase-3 batches
+are journaled as they complete and a killed run resumes without
+recomputing them; the dedup reduce is recomputed from the (identical)
+journaled phase-1 outputs.  Resuming requires re-supplying the same
+source stream and ``source_token``.
+
+**Telemetry.**  The trace is ``pipeline="curation"`` with one stage per
+step (:data:`STAGE_NAMES`); counts and drops are per stage, and wall
+time is charged to the first stage of each fused phase, which also
+names the phase's span: ``curation.empty_broken``, ``curation.dedup``
+and ``curation.syntax_check`` under ``pipeline.curation``.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
+import json
 import pickle
+import time
 import zlib
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Collection, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Union)
 
 from ..corpus.github_sim import RawFile
 from ..corpus.llm_sim import GeneratedSample, strip_markdown_fences
 from ..obs import Observability, resolve
-from ..pipeline import ParallelExecutor, PipelineTrace, StageMetrics
-from ..resilience.checkpoint import run_signature
-from ..resilience.runtime import Resilience
+from ..obs.reportable import strip_schema
+from ..pipeline import (ParallelExecutor, PipelineTrace, ResultCache,
+                        StageMetrics, content_key)
+from ..resilience.checkpoint import Checkpointer, ResumeState, run_signature
+from ..resilience.runtime import Quarantined, Resilience, Retried
 from ..resilience.runtime import resolve as resolve_resilience
 from .complexity import classify_code
 from .dedup import (
+    BANDS,
+    N_PERM,
     MinHasher,
     band_candidate_pairs,
     jaccard,
@@ -70,24 +99,144 @@ from .dedup import (
     tokenize_for_dedup,
 )
 from .describe import describe_source, family_description
-from .families import FamilyForest, FamilyIndex, forest_from_pairs, module_names
+from .families import (
+    FamilyForest,
+    FamilyIndex,
+    FamilyReport,
+    build_family_artifacts,
+    forest_from_pairs,
+    module_names,
+)
 from .filters import FunnelStats, has_module, is_readable, syntax_filter
-from .layering import Complexity, LayerReport, layer_for
-from .pipeline import CurationResult, PipelineReport
-from .ranking import score_many
+from .layering import LayerReport, assign_layers
+from .ranking import score_code
 from .records import CompileStatus, DatasetEntry, PyraNetDataset
 from ..verilog.formal import verify_code
-from ..verilog.frontend import FrontEndMemo
+from ..verilog.frontend import FrontEndMemo, publish_counts
 
 PathLike = Union[str, Path]
 
-#: Stage names, in order — identical to the in-memory pipeline so
-#: funnel reconstruction and trace comparisons work unchanged.
+#: Stage names, in order: the trace's stages and the funnel's source.
 STAGE_NAMES = ("empty_broken", "module_decl", "dedup", "syntax_check",
                "rank_label", "formal_verify", "describe", "assemble",
                "layer")
 
+#: Cache namespace of a record's label outcome.
+_LABEL_NAMESPACE = "curation/label"
+
 _SourceRecord = Tuple[str, Dict[str, Any]]  # (content, provenance)
+
+#: A record's label outcome: ``(status, detail, modules, ranking,
+#: complexity, verified, verified_detail, description,
+#: family_description)`` — the two descriptions empty/None unless the
+#: record needs them; ``None`` for a syntax error; or the
+#: :class:`Quarantined` marker of the stage that gave up on it.
+_Outcome = Union[tuple, None, Quarantined]
+
+_MISS = object()
+
+
+@dataclass
+class PipelineReport:
+    """Everything the pipeline measured while curating."""
+
+    schema = "pyranet/curation-report/v1"
+
+    funnel: FunnelStats = field(default_factory=FunnelStats)
+    layers: LayerReport = field(default_factory=LayerReport)
+    n_collected_github: int = 0
+    n_generated_llm: int = 0
+    trace: Optional[PipelineTrace] = None
+    #: Design-family clustering of the run's dedup decisions (None on
+    #: reports serialised before the subsystem existed).
+    families: Optional[FamilyReport] = None
+
+    def summary_lines(self) -> List[str]:
+        lines = [
+            f"collected (github): {self.n_collected_github}",
+            f"generated (llm):    {self.n_generated_llm}",
+            f"after empty/broken: {self.funnel.after_empty_broken}",
+            f"after module decl:  {self.funnel.after_module_decl}",
+            f"after dedup:        {self.funnel.after_dedup}",
+            f"after syntax check: {self.funnel.after_syntax}"
+            f"  (clean {self.funnel.clean}, "
+            f"dependency-only {self.funnel.dependency_only})",
+        ]
+        if self.families is not None and self.families.n_families:
+            lines.append(
+                f"design families:    {self.families.n_families} "
+                f"({self.families.n_variants} variant(s))")
+        for number, size in self.layers.pyramid_rows():
+            lines.append(f"layer {number}: {size}")
+        return lines
+
+    def to_dict(self) -> Dict:
+        return {
+            "funnel": self.funnel.to_dict(),
+            "layers": self.layers.to_dict(),
+            "n_collected_github": self.n_collected_github,
+            "n_generated_llm": self.n_generated_llm,
+            "trace": self.trace.to_dict() if self.trace else None,
+            "families": (self.families.to_dict()
+                         if self.families is not None else None),
+        }
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "PipelineReport":
+        data = strip_schema(data)
+        trace = data.get("trace")
+        families = data.get("families")
+        return cls(
+            funnel=FunnelStats.from_dict(data["funnel"]),
+            layers=LayerReport.from_dict(data["layers"]),
+            n_collected_github=data["n_collected_github"],
+            n_generated_llm=data["n_generated_llm"],
+            trace=PipelineTrace.from_dict(trace) if trace else None,
+            families=(FamilyReport.from_dict(families)
+                      if families else None),
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "PipelineReport":
+        return cls.from_dict(json.loads(text))
+
+
+@dataclass
+class CurationResult:
+    """A curated dataset plus its pipeline report."""
+
+    schema = "pyranet/curation-result/v1"
+
+    dataset: PyraNetDataset
+    report: PipelineReport
+
+    def to_dict(self) -> Dict:
+        return {
+            "schema": self.schema,
+            "entries": [entry.to_dict() for entry in self.dataset],
+            "report": self.report.to_dict(),
+        }
+
+    def to_json(self, indent: Optional[int] = None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "CurationResult":
+        data = strip_schema(data)
+        dataset = PyraNetDataset()
+        for item in data.get("entries", []):
+            dataset.add(DatasetEntry.from_dict(item))
+        return cls(
+            dataset=dataset,
+            report=PipelineReport.from_dict(data["report"]),
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "CurationResult":
+        return cls.from_dict(json.loads(text))
 
 
 # -- source adapters ----------------------------------------------------
@@ -124,34 +273,31 @@ def generated_batches(
 
 def chain_batches(*sources: Iterable[List[_SourceRecord]],
                   ) -> Iterator[List[_SourceRecord]]:
-    """Concatenate batch streams (github scrape first, then LLM —
-    the in-memory pipeline's source order)."""
+    """Concatenate batch streams (github scrape first, then LLM — the
+    source order of :meth:`CurationPipeline.run`)."""
     for source in sources:
         for batch in source:
             yield batch
 
 
-# -- fused worker functions (module-level: process-pool picklable) ------
-
-_WORKER_HASHERS: Dict[Tuple[int, int], MinHasher] = {}
+# -- worker functions (module-level: process-pool picklable) ------------
 
 
-def _hasher_for(n_perm: int, seed: int = 0) -> MinHasher:
-    """Per-process hasher memo — MinHasher's permutation tables are
-    rebuilt once per worker process, not once per batch."""
-    key = (n_perm, seed)
-    hasher = _WORKER_HASHERS.get(key)
-    if hasher is None:
-        hasher = _WORKER_HASHERS[key] = MinHasher(n_perm, seed)
-    return hasher
+@lru_cache(maxsize=None)
+def _hasher() -> MinHasher:
+    """Per-process hasher: MinHasher's permutation tables are built
+    once per worker process, not once per batch."""
+    return MinHasher(N_PERM)
 
 
 def _filter_sign_batch(payload: tuple) -> Dict[str, Any]:
-    """Phase 1, fused per batch: ``empty_broken → module_decl`` plus
-    MinHash signing and band-key emission for the survivors."""
-    batch_index, items, n_perm, bands = payload
-    hasher = _hasher_for(n_perm)
+    """Phase 1, fused per batch: ``empty_broken → module_decl``, then
+    each survivor's MinHash signature — returned with its shingle set
+    for the in-memory reduce, or as band keys for the partitioned one."""
+    batch_index, items, band_keys = payload
+    hasher = _hasher()
     survivors: List[tuple] = []
+    signed: List[tuple] = []
     emissions: List[tuple] = []
     drops: Dict[str, Dict[str, int]] = {"empty_broken": {},
                                         "module_decl": {}}
@@ -160,119 +306,152 @@ def _filter_sign_batch(payload: tuple) -> Dict[str, Any]:
         if provenance.get("origin") == "llm":
             n_llm += 1
         decision = is_readable(content)
+        if decision.kept:
+            decision = has_module(content)
         if not decision.kept:
-            stage_drops = drops["empty_broken"]
+            stage_drops = drops[decision.stage]
             stage_drops[decision.reason] = (
                 stage_drops.get(decision.reason, 0) + 1)
             continue
-        decision = has_module(content)
-        if not decision.kept:
-            stage_drops = drops["module_decl"]
-            stage_drops[decision.reason] = (
-                stage_drops.get(decision.reason, 0) + 1)
-            continue
-        signature = hasher.signature(tokenize_for_dedup(content))
-        for key in signature_band_keys(signature, bands):
-            emissions.append((key, index))
+        shingles = tokenize_for_dedup(content)
+        signature = hasher.signature(shingles)
+        if band_keys:
+            for key in signature_band_keys(signature, BANDS):
+                emissions.append((key, index))
+        else:
+            signed.append((shingles, signature))
         survivors.append((index, content, provenance))
     return {"batch": batch_index, "n_in": len(items), "n_llm": n_llm,
-            "survivors": survivors, "emissions": emissions,
-            "drops": drops}
+            "survivors": survivors, "signed": signed,
+            "emissions": emissions, "drops": drops}
+
+
+def _syntax_check(content: str) -> Optional[tuple]:
+    """``(status, detail, modules)`` of a file that compiles, cleanly or
+    with dependency issues only; None for a syntax error."""
+    decision, result = syntax_filter(content)
+    if not decision.kept:
+        return None
+    detail = ""
+    if result.status != "clean":
+        issues = result.dependency_issues
+        detail = issues[0].message if issues else "dependency issues"
+    return (("clean" if result.status == "clean" else "dependency"),
+            detail, list(result.modules))
+
+
+# Stage functions call their library functions by name when they run,
+# so a patched or probed library function is the one that runs, even
+# in a guard pickled into a worker process.
+
+
+def _rank_label(content: str) -> tuple:
+    return score_code(content), classify_code(content)
+
+
+def _formal_verify(content: str) -> tuple:
+    return verify_code(content)
+
+
+def _describe(content: str) -> str:
+    return describe_source(content)
+
+
+#: The label stages in order, each with its per-record function.
+_LABEL_STAGES = (("syntax_check", _syntax_check),
+                ("rank_label", _rank_label),
+                ("formal_verify", _formal_verify),
+                ("describe", _describe))
+
+
+def _call(guards: Dict[str, Any], stage: str, content: str,
+          markers: List[tuple]) -> Any:
+    """One stage's function (behind its guard, when the run has one)
+    on ``content``; retry and quarantine markers are kept for the
+    parent to settle, and a retried call's result is used as is."""
+    outcome = guards[stage](content)
+    if isinstance(outcome, (Retried, Quarantined)):
+        markers.append((stage, outcome))
+        if isinstance(outcome, Retried):
+            return outcome.result
+    return outcome
+
+
+def _label(content: str, needs_description: bool, canonical: bool,
+           guards: Dict[str, Any], markers: List[tuple]) -> _Outcome:
+    """One record through the label stages (see :data:`_Outcome`); a
+    family's canonical also gets its family description."""
+    compiled = _call(guards, "syntax_check", content, markers)
+    if compiled is None or isinstance(compiled, Quarantined):
+        return compiled
+    ranked = _call(guards, "rank_label", content, markers)
+    if isinstance(ranked, Quarantined):
+        return ranked
+    verified: Any = (False, "")
+    # Only clean 20/20 entries can enter the verified tier.
+    if ranked[0] == 20 and compiled[0] == "clean":
+        verified = _call(guards, "formal_verify", content, markers)
+        if isinstance(verified, Quarantined):
+            return verified
+    description = ""
+    if needs_description:
+        description = _call(guards, "describe", content, markers)
+        if isinstance(description, Quarantined):
+            return description
+    family = family_description(content) if canonical else None
+    return compiled + ranked + tuple(verified) + (description, family)
 
 
 def _label_batch(payload: tuple) -> Dict[str, Any]:
-    """Phase 3, fused per batch: ``syntax_check → rank_label →
-    formal_verify → describe`` with only plain picklable fields
-    shipped back.  Scoring runs as one vectorised pass per batch
-    (identical per-element results — the parity test pins it)."""
-    batch_index, items = payload
-    survivors: List[tuple] = []
-    n_syntax_dropped = 0
-    labeled: List[tuple] = []
-    # One front-end memo scope per batch: each text parses once across
-    # the fused stages, and memory stays bounded by the batch.
-    with FrontEndMemo().scope():
-        for index, content, provenance in items:
-            decision, result = syntax_filter(content)
-            if not decision.kept:
-                n_syntax_dropped += 1
-                continue
-            status = "clean" if result.status == "clean" else "dependency"
-            detail = ""
-            if status == "dependency":
-                issues = result.dependency_issues
-                detail = (issues[0].message if issues
-                          else "dependency issues")
-            survivors.append((index, content, provenance, status, detail,
-                              list(result.modules)))
-        scores = score_many([item[1] for item in survivors])
-        for (index, content, provenance, status, detail, modules), ranking \
-                in zip(survivors, scores):
-            description = (provenance["description"]
-                           or describe_source(content))
-            # Same gate as the in-memory stage's ``when`` predicate:
-            # only clean 20/20 entries can enter the verified tier.
-            verified, verified_detail = False, ""
-            if ranking == 20 and status == "clean":
-                verified, verified_detail = verify_code(content)
-            labeled.append((
-                index, content, provenance, status, detail,
-                ranking, classify_code(content), description,
-                modules, verified, verified_detail,
-            ))
-    return {"batch": batch_index, "n_in": len(items),
-            "n_syntax_dropped": n_syntax_dropped, "labeled": labeled}
+    """Phase 3, fused per batch in one front-end memo scope: the label
+    outcome of each record the cache missed.  Plain picklable fields go
+    back, with the memo's counts and the guards' markers."""
+    misses, guards = payload
+    markers: List[tuple] = []
+    with FrontEndMemo().scope() as memo:
+        outcomes = [_label(content, needs_description, canonical, guards,
+                           markers)
+                    for content, needs_description, canonical in misses]
+    return {"outcomes": outcomes, "markers": markers,
+            "memo": memo.stats()}
 
 
-def _partition_pairs(arg: tuple) -> tuple:
-    """Phase 2 map side: one partition's collision pairs, sorted by
-    (later, earlier) for the parent's streaming merge, plus per-earlier
-    reference counts so the parent can evict shingles without ever
-    materialising the pair set, plus the partition's **partial
-    union-find forest** (node -> min-index component root) over those
-    pairs — the parent merges the partial forests into the global LSH
-    collision forest for family clustering, so the quadratic pair set
-    is reduced worker-side to a map linear in the partition's distinct
-    indices.  Disk-backed partitions write their pairs back to disk —
-    a partition's pairs can be quadratic in its duplicate-cluster
-    sizes (the map side cannot know which members the sequential
-    algorithm would have dropped), so they must never ride home
-    through the parent's memory wholesale."""
-    kind = arg[0]
-    if kind == "mem":
-        emissions = arg[1]
-    else:
-        emissions = []
-        with open(arg[1], "rb") as handle:
-            while True:
-                try:
-                    emissions.extend(pickle.loads(
-                        zlib.decompress(pickle.load(handle))))
-                except EOFError:
-                    break
+def _partition_pairs(arg: Tuple[str, str]) -> tuple:
+    """Partitioned-dedup map side: one partition's collision pairs,
+    sorted by (later, earlier) for the parent's streaming merge and
+    written back to disk — a partition's pairs can be quadratic in its
+    duplicate-cluster sizes (the map side cannot know which members the
+    sequential algorithm would have dropped), so they must never ride
+    home through the parent's memory wholesale.  Also returns
+    per-earlier reference counts, so the parent can evict shingles
+    without ever materialising the pair set, and the partition's
+    **partial union-find forest** (node -> min-index component root):
+    the parent merges the partial forests into the global LSH collision
+    forest for family clustering."""
+    in_path, out_path = arg
+    emissions: List[tuple] = []
+    with open(in_path, "rb") as handle:
+        while True:
+            try:
+                emissions.extend(pickle.loads(
+                    zlib.decompress(pickle.load(handle))))
+            except EOFError:
+                break
     pairs = band_candidate_pairs(emissions)
     forest = forest_from_pairs(pairs).compressed()
     pairs.sort(key=lambda pair: (pair[1], pair[0]))
     refcounts: Dict[int, int] = {}
     for earlier, _later in pairs:
         refcounts[earlier] = refcounts.get(earlier, 0) + 1
-    counts = sorted(refcounts.items())
-    if kind == "mem":
-        return ("mem", pairs, counts, forest)
-    out_path = arg[2]
     with open(out_path, "wb") as handle:
         for start in range(0, len(pairs), 8192):
             pickle.dump(pairs[start:start + 8192], handle, protocol=4)
-    return ("file", out_path, counts, forest)
+    return out_path, sorted(refcounts.items()), forest
 
 
-def _pair_stream(result: tuple) -> Iterator[Tuple[int, int]]:
+def _pair_stream(path: str) -> Iterator[Tuple[int, int]]:
     """Lazily re-read one partition's (later, earlier)-sorted pairs."""
-    kind, data = result[0], result[1]
-    if kind == "mem":
-        yield from data
-        return
-    with open(data, "rb") as handle:
+    with open(path, "rb") as handle:
         while True:
             try:
                 chunk = pickle.load(handle)
@@ -285,7 +464,7 @@ def _pair_stream(result: tuple) -> Iterator[Tuple[int, int]]:
 
 
 class _BatchSpill:
-    """Ordered batch payload store: a dict in memory, or one
+    """Ordered store of survivor batches: a dict in memory, or one
     zlib-compressed pickle per batch under ``directory``."""
 
     def __init__(self, directory: Optional[Path]) -> None:
@@ -328,42 +507,32 @@ class _BatchSpill:
 
 
 class _PartitionSpill:
-    """Band-key emission shuffle: per-partition append-only buffers
-    (chunked, compressed files under ``directory``; lists in memory)."""
+    """Band-key emission shuffle of a spilled run: one append-only file
+    of compressed chunks per partition under ``directory``."""
 
-    def __init__(self, n_partitions: int, directory: Optional[Path]) -> None:
+    def __init__(self, n_partitions: int, directory: Path) -> None:
+        directory.mkdir(parents=True, exist_ok=True)
         self.n_partitions = n_partitions
-        self._dir = directory
-        self._mem: List[List[tuple]] = [[] for _ in range(n_partitions)]
-        if directory is not None:
-            directory.mkdir(parents=True, exist_ok=True)
-            self._paths = [directory / f"partition-{p:03d}.pkl"
-                           for p in range(n_partitions)]
-            self._handles = [path.open("wb") for path in self._paths]
+        self._paths = [directory / f"partition-{p:03d}.pkl"
+                       for p in range(n_partitions)]
+        self._handles = [path.open("wb") for path in self._paths]
 
-    def add(self, chunks: Sequence[List[tuple]]) -> None:
-        """Append one chunk of emissions per partition."""
-        for partition, chunk in enumerate(chunks):
-            if not chunk:
-                continue
-            if self._dir is None:
-                self._mem[partition].extend(chunk)
-            else:
+    def add(self, emissions: Sequence[tuple]) -> None:
+        """Route ``(band_key, index)`` emissions to their partitions."""
+        chunks: List[List[tuple]] = [[] for _ in self._paths]
+        for key, index in emissions:
+            chunks[key[0] % self.n_partitions].append((key, index))
+        for handle, chunk in zip(self._handles, chunks):
+            if chunk:
                 pickle.dump(zlib.compress(pickle.dumps(chunk, protocol=4)),
-                            self._handles[partition])
+                            handle)
 
-    def worker_args(self) -> List[tuple]:
-        if self._dir is None:
-            return [("mem", emissions) for emissions in self._mem]
+    def worker_args(self) -> List[Tuple[str, str]]:
         for handle in self._handles:
             handle.close()
-        return [("file", str(path), str(path) + ".pairs")
-                for path in self._paths]
+        return [(str(path), str(path) + ".pairs") for path in self._paths]
 
     def cleanup(self) -> None:
-        if self._dir is None:
-            self._mem = [[] for _ in range(self.n_partitions)]
-            return
         for handle in self._handles:
             if not handle.closed:
                 handle.close()
@@ -375,102 +544,106 @@ class _PartitionSpill:
                     pass
 
 
-class _LayerAccumulator:
-    """Incremental :func:`~.layering.assign_layers`: sets
-    ``entry.layer`` as entries stream past and produces the identical
-    :class:`LayerReport` at the end."""
-
-    def __init__(self) -> None:
-        self.report = LayerReport()
-
-    def add(self, entry: DatasetEntry) -> None:
-        entry.layer = layer_for(entry)
-        if entry.verified:
-            self.report.n_verified += 1
-        sizes = self.report.sizes
-        sizes[entry.layer] = sizes.get(entry.layer, 0) + 1
-        coverage = self.report.complexity_coverage.setdefault(
-            entry.layer, {})
-        label = entry.complexity.label
-        coverage[label] = coverage.get(label, 0) + 1
-
-    def finish(self) -> LayerReport:
-        all_levels = [c.label for c in Complexity]
-        for number in range(1, 6):
-            present = set(self.report.complexity_coverage.get(number, {}))
-            missing = [label for label in all_levels
-                       if label not in present]
-            if missing and self.report.sizes.get(number, 0) > 0:
-                self.report.missing_complexities[number] = missing
-        return self.report
-
-
 @dataclass
 class StreamingStoreResult:
-    """Outcome of :meth:`StreamingCurationPipeline.curate_to_store`."""
+    """Outcome of :meth:`CurationPipeline.curate_to_store`."""
 
     manifest: Any
     report: PipelineReport
 
 
 @dataclass
-class StreamingCurationPipeline:
-    """The streaming, shard-parallel curate path.
+class _Run:
+    """One run's moving parts: executor, telemetry, journal, spill and
+    the counts the trace and funnel are built from."""
+
+    executor: ParallelExecutor
+    obs: Observability
+    res: Resilience
+    ckpt: Optional[Checkpointer]
+    state: Optional[ResumeState]
+    spill: _BatchSpill
+    shuffle: Optional[_PartitionSpill]
+    counters: Dict[str, int] = field(default_factory=lambda: dict.fromkeys(
+        ("collected", "n_llm", "survivors", "clean", "dependency"), 0))
+    drops: Dict[str, Dict[str, int]] = field(
+        default_factory=lambda: {name: {} for name in STAGE_NAMES})
+    walls: Dict[str, float] = field(default_factory=dict)
+    #: In-memory runs: (shingle set, signature) per survivor, until the
+    #: dedup reduce has consumed them.
+    signed: List[tuple] = field(default_factory=list)
+
+    def drop(self, stage: str, reason: str, count: int = 1) -> None:
+        drops = self.drops[stage]
+        drops[reason] = drops.get(reason, 0) + count
+
+
+@dataclass
+class CurationPipeline:
+    """The curation run: filters, Jaccard dedup, syntax check, ranking,
+    formal check, descriptions and the six layers.
 
     Args:
-        dedup_threshold / seed: as :class:`~.pipeline.CurationPipeline`
-            — same values produce byte-identical entries.
-        batch_size: records per streamed batch (the unit of worker
-            dispatch, spill, and checkpointing).
-        n_partitions: shared-nothing partitions for distributed dedup's
-            map side (any value produces identical decisions).
+        dedup_threshold: Jaccard similarity at or above which a file is
+            a duplicate of an earlier kept one.
+        seed: used for entry ids and family ids.
+        batch_size: records per batch (the unit of worker dispatch,
+            spill, and checkpointing).
+        n_partitions: shared-nothing partitions for a spilled run's
+            dedup map side (any value produces identical decisions).
         executor: worker fan-out; serial by default.  ``thread`` and
             ``process`` modes produce identical output — stage work is
             pure and :meth:`ParallelExecutor.stream_map` preserves
             order.
-        obs: observability; phases become spans, the synthesized trace
-            is published, and ``proc.rss_peak_bytes`` is sampled at
-            span exits.
-        resilience: when its checkpointer is set, phase batches journal
-            as they complete and a killed run resumes byte-identically.
+        cache: content-hash cache for each record's label outcome; the
+            label phase runs uncached without one.
+        obs: observability; phases become spans, the trace is
+            published, and ``proc.rss_peak_bytes`` is sampled at span
+            exits.
+        resilience: label-stage work runs behind per-record
+            retry/quarantine guards; when its checkpointer is set,
+            batches journal as they complete and a killed run resumes
+            byte-identically.
         spill_dir: directory for survivor batches and the band-key
-            shuffle.  ``None`` keeps spill in memory (fine for tests
-            and small corpora; pass a real directory for the
-            memory-bounded guarantee).
+            shuffle.  ``None`` keeps survivors in memory (fine for
+            tests and corpora that fit); pass a directory for the
+            memory-bounded guarantee.
+        keep_variants: keep dedup-dropped near-duplicates in the
+            dataset as family-tagged variant rows instead of discarding
+            them.  Canonical selection, family ids and similarities are
+            unchanged; the funnel simply stops removing at the dedup
+            stage.
     """
 
     dedup_threshold: float = 0.8
     seed: int = 0
     batch_size: int = 256
     n_partitions: int = 4
-    n_perm: int = 64
-    bands: int = 16
     executor: Optional[ParallelExecutor] = None
+    cache: Optional[ResultCache] = None
     obs: Optional[Observability] = None
     resilience: Optional[Resilience] = None
     spill_dir: Optional[PathLike] = None
-    #: Keep dedup-dropped near-duplicates as family-tagged variant rows
-    #: (same semantics as :class:`CurationPipeline.keep_variants`).
     keep_variants: bool = False
 
     # -- public entry points -------------------------------------------
 
     def run(self, raw_files: Sequence[RawFile],
             generated: Sequence[GeneratedSample] = ()) -> CurationResult:
-        """Drop-in for :meth:`CurationPipeline.run` over materialised
-        inputs — batches them internally and streams."""
-        from .pipeline import CurationPipeline
-
-        records = CurationPipeline._source_records(raw_files, generated)
-        token = run_signature(
-            [(r.index, r.value, r.meta) for r in records], STAGE_NAMES)
-
-        def batches() -> Iterator[List[_SourceRecord]]:
-            for start in range(0, len(records), self.batch_size):
-                yield [(r.value, r.meta["provenance"])
-                       for r in records[start:start + self.batch_size]]
-
-        return self.run_stream(batches(), source_token=token)
+        """Curate ``raw_files`` + ``generated`` into a layered dataset:
+        :meth:`run_stream` over batches of them."""
+        records: List[_SourceRecord] = []
+        for batch in chain_batches(raw_file_batches([raw_files]),
+                                   generated_batches(generated)):
+            records.extend(batch)
+        res = resolve_resilience(self.resilience)
+        token = (run_signature(records, STAGE_NAMES)
+                 if res.enabled and res.checkpointer is not None else "")
+        size = self.batch_size
+        return self.run_stream(
+            (records[start:start + size]
+             for start in range(0, len(records), size)),
+            source_token=token)
 
     def run_stream(self, batches: Iterable[List[_SourceRecord]],
                    source_token: str = "") -> CurationResult:
@@ -518,7 +691,7 @@ class StreamingCurationPipeline:
     def _entries(self, batches: Iterable[List[_SourceRecord]],
                  holder: Dict[str, Any],
                  source_token: str) -> Iterator[DatasetEntry]:
-        """The whole streaming dataflow as one entry generator; fills
+        """The whole dataflow as one entry generator; fills
         ``holder['report']`` when exhausted."""
         executor = (self.executor if self.executor is not None
                     else ParallelExecutor.serial())
@@ -528,169 +701,210 @@ class StreamingCurationPipeline:
         state = None
         if ckpt is not None:
             signature = run_signature([], STAGE_NAMES, extra=(
-                "curation-stream", self.seed, self.dedup_threshold,
-                self.batch_size, self.n_partitions, self.n_perm,
-                self.bands, self.keep_variants, source_token))
+                "curation", self.seed, self.dedup_threshold,
+                self.batch_size, self.n_partitions,
+                self.spill_dir is not None, self.keep_variants,
+                source_token))
             state = ckpt.begin(signature)
             if state.fresh:
                 state = None
         spill_root = Path(self.spill_dir) if self.spill_dir else None
-        spill = _BatchSpill(
-            spill_root / "survivors" if spill_root else None)
-        shuffle = _PartitionSpill(
-            self.n_partitions,
-            spill_root / "partitions" if spill_root else None)
+        run = _Run(
+            executor=executor, obs=obs, res=res, ckpt=ckpt, state=state,
+            spill=_BatchSpill(
+                spill_root / "survivors" if spill_root else None),
+            shuffle=(_PartitionSpill(self.n_partitions,
+                                     spill_root / "partitions")
+                     if spill_root else None))
+        cache = self.cache
+        # NB: an empty cache is falsy (it has __len__): identity checks.
+        cache_before = ((cache.hits, cache.misses) if cache is not None
+                        else (0, 0))
+        layers = LayerReport()
 
+        # Attach the run's tracer so pool work records worker spans, and
+        # bind the resilience runtime to this run's observability so
+        # retry/trip/resume counters land in its registry; both are
+        # restored afterwards because executors and runtimes are shared.
         previous_tracer = executor.tracer
         if obs.enabled:
             executor.tracer = obs.tracer
+        previous_res_obs = res.obs
+        if res.enabled and res.obs is None:
+            res.obs = obs
         started = time.perf_counter()
-        counters = {
-            "collected": 0, "n_llm": 0, "after_empty": 0,
-            "after_module": 0, "after_syntax": 0, "clean": 0,
-            "dependency": 0, "resumed_batches": 0,
-        }
-        empty_drops: Dict[str, int] = {}
-        module_drops: Dict[str, int] = {}
-        walls = {"phase1": 0.0, "dedup": 0.0, "phase3": 0.0}
         try:
-            # Phase 1: fused filter + sign.
-            phase_started = time.perf_counter()
-            with obs.span("stream.filter_sign") as span:
-                n_batches = self._run_phase1(
-                    batches, executor, spill, shuffle, counters,
-                    empty_drops, module_drops, ckpt, state, res)
-                span.meta["n_batches"] = n_batches
-                span.meta["n_survivors"] = counters["after_module"]
-            walls["phase1"] = time.perf_counter() - phase_started
+            with obs.span("pipeline.curation") as root:
+                phase_started = time.perf_counter()
+                with obs.span("curation.empty_broken") as span:
+                    span.meta["n_batches"] = self._filter_and_sign(
+                        batches, run)
+                    span.meta["n_survivors"] = run.counters["survivors"]
+                run.walls["empty_broken"] = (time.perf_counter()
+                                             - phase_started)
 
-            # Phase 2: band-partitioned dedup + deterministic merge.
-            phase_started = time.perf_counter()
-            with obs.span("stream.dedup",
-                          n_partitions=self.n_partitions) as span:
-                (duplicate_of, pairs_checked, similarities, forest,
-                 family_meta) = self._run_dedup(executor, spill, shuffle)
-                family_index = FamilyIndex.build(
-                    duplicate_of, similarities, forest, family_meta,
-                    seed=self.seed, threshold=self.dedup_threshold)
-                span.meta["n_duplicates"] = len(duplicate_of)
-                span.meta["candidate_pairs_checked"] = pairs_checked
-                span.meta["n_families"] = family_index.n_families
-            walls["dedup"] = time.perf_counter() - phase_started
-            obs.counter("curation.stream.duplicates").inc(
-                len(duplicate_of))
-            obs.counter("curation.families").inc(
-                family_index.n_families)
-            obs.counter("curation.family_variants").inc(
-                family_index.n_variants)
+                phase_started = time.perf_counter()
+                with obs.span("curation.dedup") as span:
+                    if run.shuffle is None:
+                        duplicates, pairs_checked, family_index = (
+                            self._dedup_in_memory(run))
+                    else:
+                        span.meta["n_partitions"] = self.n_partitions
+                        duplicates, pairs_checked, family_index = (
+                            self._dedup_partitioned(run))
+                    span.meta["n_duplicates"] = len(duplicates)
+                    span.meta["candidate_pairs_checked"] = pairs_checked
+                    span.meta["n_families"] = family_index.n_families
+                run.walls["dedup"] = time.perf_counter() - phase_started
+                # Variant rows survive the dedup stage under
+                # keep_variants, so the trace sees zero dedup drops.
+                if duplicates and not self.keep_variants:
+                    run.drop("dedup", "duplicate", len(duplicates))
+                obs.counter("curation.families").inc(
+                    family_index.n_families)
+                obs.counter("curation.family_variants").inc(
+                    family_index.n_variants)
 
-            # Phase 3: fused label, ordered assemble + layering.
-            phase_started = time.perf_counter()
-            layers = _LayerAccumulator()
-            with obs.span("stream.label") as span:
-                for entry in self._run_phase3(
-                        executor, spill, duplicate_of, counters,
-                        layers, ckpt, state, res, family_index):
-                    yield entry
-                span.meta["n_entries"] = counters["after_syntax"]
-            walls["phase3"] = time.perf_counter() - phase_started
+                phase_started = time.perf_counter()
+                with obs.span("curation.syntax_check") as span:
+                    for entry in self._label_phase(run, duplicates,
+                                                   family_index, layers):
+                        yield entry
+                    n_entries = (run.counters["clean"]
+                                 + run.counters["dependency"])
+                    span.meta["n_entries"] = n_entries
+                run.walls["syntax_check"] = (time.perf_counter()
+                                             - phase_started)
+                root.meta["n_input"] = run.counters["collected"]
+                root.meta["n_output"] = n_entries
         finally:
             executor.tracer = previous_tracer
-            spill.cleanup()
-            shuffle.cleanup()
+            res.obs = previous_res_obs
+            run.spill.cleanup()
+            if run.shuffle is not None:
+                run.shuffle.cleanup()
 
-        # Variant rows survive the dedup stage under keep_variants, so
-        # the trace/funnel arithmetic sees zero dedup drops — exactly
-        # like the in-memory engine's stage metrics in that mode.
-        n_dropped_dedup = 0 if self.keep_variants else len(duplicate_of)
-        trace = self._trace(executor, counters, empty_drops, module_drops,
-                            n_dropped_dedup, walls,
-                            time.perf_counter() - started)
+        trace = self._trace(run, time.perf_counter() - started)
+        if cache is not None:
+            syntax = trace.stage("syntax_check")
+            syntax.cache_hits = cache.hits - cache_before[0]
+            syntax.cache_misses = cache.misses - cache_before[1]
+            trace.meta["cache"] = cache.stats()
+            # Disk-tier entries are written atomically but unsynced
+            # during the run; one directory flush makes them durable.
+            cache.sync_disk()
+        if res.enabled:
+            trace.meta["resilience"] = res.summary()
         obs.publish_trace(trace)
         obs.counter("curation.runs").inc()
-        obs.counter("curation.files_in").inc(counters["collected"])
+        obs.counter("curation.files_in").inc(run.counters["collected"])
         if ckpt is not None:
-            ckpt.finish({"n_entries": counters["after_syntax"]})
+            ckpt.finish({"n_entries": n_entries})
         holder["report"] = PipelineReport(
-            funnel=self._funnel(counters, empty_drops, module_drops,
-                                n_dropped_dedup),
-            layers=layers.finish(),
-            n_collected_github=counters["collected"] - counters["n_llm"],
-            n_generated_llm=counters["n_llm"],
+            funnel=self._funnel(trace, run),
+            layers=layers,
+            n_collected_github=(run.counters["collected"]
+                                - run.counters["n_llm"]),
+            n_generated_llm=run.counters["n_llm"],
             trace=trace,
             families=family_index.report(),
         )
 
-    def _run_phase1(self, batches, executor, spill, shuffle, counters,
-                    empty_drops, module_drops, ckpt, state, res) -> int:
+    def _filter_and_sign(self, batches: Iterable[List[_SourceRecord]],
+                         run: _Run) -> int:
+        """Phase 1; returns the number of batches."""
+        state = run.state
         completed = state.completed_batches(0) if state is not None else 0
+        counts = {"batches": 0, "resumed": 0}
 
         def absorb(payload: Dict[str, Any]) -> None:
-            counters["collected"] += payload["n_in"]
-            counters["n_llm"] += payload["n_llm"]
-            for reason, count in payload["drops"]["empty_broken"].items():
-                empty_drops[reason] = empty_drops.get(reason, 0) + count
-            for reason, count in payload["drops"]["module_decl"].items():
-                module_drops[reason] = module_drops.get(reason, 0) + count
-            counters["after_module"] += len(payload["survivors"])
-            spill.put(payload["batch"],
-                      {"survivors": payload["survivors"]})
-            chunks: List[List[tuple]] = [
-                [] for _ in range(self.n_partitions)]
-            for key, index in payload["emissions"]:
-                chunks[key[0] % self.n_partitions].append((key, index))
-            shuffle.add(chunks)
+            run.counters["collected"] += payload["n_in"]
+            run.counters["n_llm"] += payload["n_llm"]
+            run.counters["survivors"] += len(payload["survivors"])
+            for stage, stage_drops in payload["drops"].items():
+                for reason, count in stage_drops.items():
+                    run.drop(stage, reason, count)
+            run.spill.put(payload["batch"], payload["survivors"])
+            if run.shuffle is None:
+                run.signed.extend(payload["signed"])
+            else:
+                run.shuffle.add(payload["emissions"])
 
         def live_payloads() -> Iterator[tuple]:
-            batch_index = 0
             next_index = 0
-            for batch in batches:
-                items = []
-                for content, provenance in batch:
-                    items.append((next_index, content, provenance))
-                    next_index += 1
+            for batch_index, batch in enumerate(batches):
+                items = [(next_index + offset, content, provenance)
+                         for offset, (content, provenance)
+                         in enumerate(batch)]
+                next_index += len(items)
+                counts["batches"] = batch_index + 1
                 if batch_index < completed:
                     # Journaled batch: replay the committed outputs; the
                     # source is still consumed so indices stay aligned.
                     absorb(state.batch_result(0, batch_index))
-                    counters["resumed_batches"] += 1
+                    counts["resumed"] += 1
                 else:
-                    yield (batch_index, items, self.n_perm, self.bands)
-                batch_index += 1
-            counters["n_batches"] = batch_index
+                    yield batch_index, items, run.shuffle is not None
 
-        for payload in executor.stream_map(_filter_sign_batch,
-                                           live_payloads()):
-            if ckpt is not None:
-                ckpt.record_batch(0, payload["batch"],
-                                  "stream.filter_sign", payload)
+        for payload in run.executor.stream_map(_filter_sign_batch,
+                                               live_payloads()):
+            if run.ckpt is not None:
+                run.ckpt.record_batch(0, payload["batch"],
+                                      "curation.empty_broken", payload)
             absorb(payload)
-        if counters["resumed_batches"]:
-            res.record_resumed(batches=counters["resumed_batches"])
-        return counters.get("n_batches", 0)
+        if counts["resumed"]:
+            run.res.record_resumed(batches=counts["resumed"])
+        return counts["batches"]
 
-    def _run_dedup(self, executor, spill, shuffle):
-        """Map per partition, then zip a streaming merge of the
-        partition pair streams against one ascending pass over the
-        spilled survivors — the decisions (and the
-        candidate-pairs-checked count) equal :func:`~.dedup.deduplicate`
-        exactly; see :mod:`.dedup` for the argument.
+    def _dedup_in_memory(self, run: _Run
+                         ) -> Tuple[Collection[int], int, FamilyIndex]:
+        """The reduce for survivors held in memory: sequential dedup and
+        the collision forest over the signatures phase 1 made."""
+        survivors = {index: (content, provenance)
+                     for batch in run.spill.iter_payloads()
+                     for index, content, provenance in batch}
+        indices = list(survivors)
+        shingle_sets = [shingles for shingles, _ in run.signed]
+        signatures = [signature for _, signature in run.signed]
+        run.signed = []  # the reduce is their last use
+
+        def meta_for(index: int) -> Dict[str, Any]:
+            content, provenance = survivors[index]
+            return {"path": provenance["path"],
+                    "origin": provenance["origin"],
+                    "modules": module_names(content)}
+
+        report, family_index = build_family_artifacts(
+            [survivors[index][0] for index in indices], indices, meta_for,
+            threshold=self.dedup_threshold, seed=self.seed,
+            shingle_sets=shingle_sets, signatures=signatures)
+        duplicates = {indices[position] for position in report.duplicate_of}
+        return duplicates, report.candidate_pairs_checked, family_index
+
+    def _dedup_partitioned(self, run: _Run
+                           ) -> Tuple[Collection[int], int, FamilyIndex]:
+        """The reduce for spilled survivors: map per partition, then zip
+        a streaming merge of the partition pair streams against one
+        ascending pass over the spilled survivors — the decisions (and
+        the candidate-pairs-checked count) equal
+        :func:`~.dedup.deduplicate` exactly; see :mod:`.dedup` for the
+        argument.
 
         The pair set is never materialised in this process: each
-        partition's pairs arrive (later, earlier)-sorted — from disk
-        when spilling — and ``heapq.merge`` hands the resolve loop one
-        index's candidates at a time.  Parent-side dedup state is the
-        per-earlier reference counts (ints), the keep/drop verdicts,
-        and the shingle sets (plus family metadata) still awaited by
-        unresolved pairs.
+        partition's pairs arrive (later, earlier)-sorted from disk and
+        ``heapq.merge`` hands the resolve loop one index's candidates at
+        a time.  Parent-side dedup state is the per-earlier reference
+        counts (ints), the keep/drop verdicts, and the shingle sets
+        (plus family metadata) still awaited by unresolved pairs.
 
         Also merges the workers' partial union-find forests into the
-        global LSH collision forest, records the verified similarity
-        of every drop decision, and captures path/origin/module
-        metadata for each family member at decision time — the family
-        inputs, identical to the in-memory path's.
+        global LSH collision forest, records the verified similarity of
+        every drop decision, and captures path/origin/module metadata
+        for each family member at decision time — the same family
+        inputs the in-memory reduce derives.
         """
-        results = executor.map(_partition_pairs, shuffle.worker_args())
+        results = run.executor.map(_partition_pairs,
+                                   run.shuffle.worker_args())
 
         # How many raw pairs still reference each earlier index;
         # shingles are retained only while referenced.  Counts are per
@@ -699,12 +913,12 @@ class StreamingCurationPipeline:
         # partitions emitted the same pair via different bands.
         refcount: Dict[int, int] = {}
         forest = FamilyForest()
-        for result in results:
-            for earlier, count in result[2]:
+        for _path, counts, partial in results:
+            for earlier, count in counts:
                 refcount[earlier] = refcount.get(earlier, 0) + count
-            forest.merge(result[3])
+            forest.merge(partial)
         merged = heapq.merge(
-            *(_pair_stream(result) for result in results),
+            *(_pair_stream(path) for path, _counts, _partial in results),
             key=lambda pair: (pair[1], pair[0]))
         pending = next(merged, None)
 
@@ -715,8 +929,8 @@ class StreamingCurationPipeline:
         similarities: Dict[int, float] = {}
         family_meta: Dict[int, Dict[str, Any]] = {}
         pairs_checked = 0
-        for payload in spill.iter_payloads():
-            for index, content, provenance in payload["survivors"]:
+        for batch in run.spill.iter_payloads():
+            for index, content, provenance in batch:
                 referenced = index in refcount
                 # Drain this index's candidates from the merged stream:
                 # ascending by earlier, cross-partition duplicates
@@ -773,53 +987,36 @@ class StreamingCurationPipeline:
                         "path": provenance["path"],
                         "origin": provenance["origin"],
                         "modules": module_names(content)}
-        shuffle.cleanup()
-        return duplicate_of, pairs_checked, similarities, forest, family_meta
+        run.shuffle.cleanup()
+        family_index = FamilyIndex.build(
+            duplicate_of, similarities, forest, family_meta,
+            seed=self.seed, threshold=self.dedup_threshold)
+        return duplicate_of, pairs_checked, family_index
 
-    def _run_phase3(self, executor, spill, duplicate_of, counters,
-                    layers, ckpt, state, res,
-                    family_index) -> Iterator[DatasetEntry]:
-        completed = state.completed_batches(1) if state is not None else 0
-        resumed = 0
-
-        def label_inputs() -> Iterator[tuple]:
-            for batch_index, payload in enumerate(spill.iter_payloads()):
-                kept = [item for item in payload["survivors"]
-                        if self.keep_variants
-                        or item[0] not in duplicate_of]
-                yield (batch_index, kept)
-
-        def results() -> Iterator[Dict[str, Any]]:
-            # Replayed batches are a contiguous prefix of the stream:
-            # emit their journaled outputs directly, then hand the rest
-            # of the (still lazy) input generator to the pool.
-            nonlocal resumed
-            inputs = label_inputs()
-            first_live = None
-            for payload in inputs:
-                if payload[0] < completed:
-                    yield state.batch_result(1, payload[0])
-                    resumed += 1
-                else:
-                    first_live = payload
-                    break
-            if first_live is None:
-                return
-            for out in executor.stream_map(_label_batch,
-                                           chain([first_live], inputs)):
-                if ckpt is not None:
-                    ckpt.record_batch(1, out["batch"], "stream.label", out)
-                yield out
-
+    def _label_phase(self, run: _Run, duplicates: Collection[int],
+                     family_index: FamilyIndex,
+                     layers: LayerReport) -> Iterator[DatasetEntry]:
+        """Phase 3: label outcomes assembled into layered entries, in
+        order, batch by batch."""
         position = 0
-        for out in results():
-            for (index, content, provenance, status, detail, ranking,
-                 complexity, description, modules, verified,
-                 verified_detail) in out["labeled"]:
+        for kept, outcomes in self._label_outcomes(run, duplicates,
+                                                   family_index):
+            entries: List[DatasetEntry] = []
+            for (index, content, provenance), outcome in zip(kept,
+                                                             outcomes):
+                if outcome is None:
+                    run.drop("syntax_check", "syntax error")
+                    continue
+                if isinstance(outcome, Quarantined):
+                    run.drop(outcome.site[len("stage."):],
+                             f"quarantined:{outcome.error_type}")
+                    continue
+                (status, detail, modules, ranking, complexity, verified,
+                 verified_detail, description, family_text) = outcome
                 entry = DatasetEntry(
                     entry_id=f"pyranet-{self.seed}-{position:06d}",
                     code=content,
-                    description=description,
+                    description=provenance["description"] or description,
                     ranking=ranking,
                     complexity=complexity,
                     compile_status=(CompileStatus.CLEAN
@@ -828,7 +1025,7 @@ class StreamingCurationPipeline:
                     compile_detail=detail,
                     origin=provenance["origin"],
                     source_path=provenance["path"],
-                    module_names=modules,
+                    module_names=list(modules),
                     verified=verified,
                     verified_detail=verified_detail,
                 )
@@ -843,60 +1040,106 @@ class StreamingCurationPipeline:
                         entry.family_similarity = (
                             family_index.similarity_of(index))
                     family_index.attach_entry(index, entry.entry_id)
-                    if role == "canonical":
-                        family_index.attach_descriptions(
-                            index, family_description(content))
+                    if family_text is not None:
+                        family_index.attach_descriptions(index, family_text)
                 position += 1
-                counters["after_syntax"] += 1
-                if status == "clean":
-                    counters["clean"] += 1
-                else:
-                    counters["dependency"] += 1
-                layers.add(entry)
-                yield entry
+                run.counters[status] += 1
+                entries.append(entry)
+            assign_layers(entries, layers)
+            yield from entries
+
+    def _label_outcomes(self, run: _Run, duplicates: Collection[int],
+                        family_index: FamilyIndex,
+                        ) -> Iterator[Tuple[list, list]]:
+        """``(kept records, label outcomes)`` per survivor batch, in
+        order: journaled batches replayed, the rest looked up in the
+        cache and their misses sent to the workers."""
+        state = run.state
+        completed = state.completed_batches(1) if state is not None else 0
+        batches = (
+            (batch_index, [item for item in survivors
+                           if self.keep_variants
+                           or item[0] not in duplicates])
+            for batch_index, survivors
+            in enumerate(run.spill.iter_payloads()))
+        live: Iterator[Tuple[int, list]] = iter(())
+        resumed = 0
+        for batch_index, kept in batches:
+            if batch_index >= completed:
+                live = chain([(batch_index, kept)], batches)
+                break
+            journaled = state.batch_result(1, batch_index)
+            resumed += 1
+            yield kept, journaled
         if resumed:
-            res.record_resumed(batches=resumed)
+            run.res.record_resumed(batches=resumed)
+
+        cache = self.cache
+        shields = ({stage: run.res.shield(f"stage.{stage}",
+                                          run.executor.mode)
+                    for stage, _fn in _LABEL_STAGES}
+                   if run.res.enabled else {})
+        guards = {stage: (shields[stage].wrap(fn) if shields else fn)
+                  for stage, fn in _LABEL_STAGES}
+        # Batches in flight: the parent's half of each request.
+        pending: deque = deque()
+
+        def requests() -> Iterator[tuple]:
+            for batch_index, kept in live:
+                outcomes: List[Any] = []
+                keys: List[Optional[str]] = []
+                misses = []
+                for index, content, provenance in kept:
+                    needs = (not provenance["description"],
+                             family_index.role_of(index) == "canonical")
+                    key, outcome = None, _MISS
+                    if cache is not None:
+                        key = content_key(_LABEL_NAMESPACE, content, *needs)
+                        outcome = cache.get(key, _MISS)
+                    if outcome is _MISS:
+                        misses.append((content,) + needs)
+                    outcomes.append(outcome)
+                    keys.append(key)
+                pending.append((batch_index, kept, outcomes, keys))
+                yield misses, guards
+
+        for out in run.executor.stream_map(_label_batch, requests()):
+            batch_index, kept, outcomes, keys = pending.popleft()
+            computed = iter(out["outcomes"])
+            for position, outcome in enumerate(outcomes):
+                if outcome is not _MISS:
+                    continue
+                outcome = outcomes[position] = next(computed)
+                # A quarantined outcome reflects this run's faults, not
+                # the content — caching it would poison later runs.
+                if cache is not None and not isinstance(outcome,
+                                                        Quarantined):
+                    cache.put(keys[position], outcome)
+            for stage, marker in out["markers"]:
+                shields[stage].settle([marker])
+            publish_counts(out["memo"], run.obs)
+            if run.ckpt is not None:
+                run.ckpt.record_batch(1, batch_index,
+                                      "curation.syntax_check", outcomes)
+            yield kept, outcomes
 
     # -- reporting ------------------------------------------------------
 
-    def _trace(self, executor, counters, empty_drops, module_drops,
-               n_duplicates, walls, total_wall) -> PipelineTrace:
-        collected = counters["collected"]
-        after_empty = collected - sum(empty_drops.values())
-        after_module = counters["after_module"]
-        after_dedup = after_module - n_duplicates
-        after_syntax = counters["after_syntax"]
-        syntax_drops = ({"syntax error": after_dedup - after_syntax}
-                        if after_dedup - after_syntax else {})
-        stages = [
-            StageMetrics("empty_broken", n_in=collected,
-                         n_out=after_empty,
-                         wall_time_s=walls["phase1"],
-                         drops=dict(empty_drops)),
-            StageMetrics("module_decl", n_in=after_empty,
-                         n_out=after_module, drops=dict(module_drops)),
-            StageMetrics("dedup", n_in=after_module, n_out=after_dedup,
-                         wall_time_s=walls["dedup"],
-                         drops=({"duplicate": n_duplicates}
-                                if n_duplicates else {})),
-            StageMetrics("syntax_check", n_in=after_dedup,
-                         n_out=after_syntax,
-                         wall_time_s=walls["phase3"],
-                         drops=syntax_drops),
-            StageMetrics("rank_label", n_in=after_syntax,
-                         n_out=after_syntax),
-            StageMetrics("formal_verify", n_in=after_syntax,
-                         n_out=after_syntax),
-            StageMetrics("describe", n_in=after_syntax,
-                         n_out=after_syntax),
-            StageMetrics("assemble", n_in=after_syntax,
-                         n_out=after_syntax),
-            StageMetrics("layer", n_in=after_syntax, n_out=after_syntax),
-        ]
-        trace = PipelineTrace(pipeline="curation-stream", stages=stages,
+    def _trace(self, run: _Run, total_wall: float) -> PipelineTrace:
+        """Per-stage counts from the drops: each stage passes on what it
+        did not drop."""
+        stages = []
+        n = run.counters["collected"]
+        for name in STAGE_NAMES:
+            drops = dict(run.drops[name])
+            n_in, n = n, n - sum(drops.values())
+            stages.append(StageMetrics(
+                name, n_in=n_in, n_out=n, drops=drops,
+                wall_time_s=run.walls.get(name, 0.0)))
+        trace = PipelineTrace(pipeline="curation", stages=stages,
                               wall_time_s=total_wall)
-        trace.meta["executor"] = executor.describe()
-        trace.meta["n_input"] = collected
+        trace.meta["executor"] = run.executor.describe()
+        trace.meta["n_input"] = run.counters["collected"]
         trace.meta["streaming"] = {
             "batch_size": self.batch_size,
             "n_partitions": self.n_partitions,
@@ -904,31 +1147,29 @@ class StreamingCurationPipeline:
         }
         return trace
 
-    def _funnel(self, counters, empty_drops, module_drops,
-                n_duplicates) -> FunnelStats:
-        collected = counters["collected"]
-        after_empty = collected - sum(empty_drops.values())
-        after_module = counters["after_module"]
-        after_dedup = after_module - n_duplicates
+    @staticmethod
+    def _funnel(trace: PipelineTrace, run: _Run) -> FunnelStats:
+        """The paper's funnel counters, from the trace."""
+        stage = trace.stage
         funnel = FunnelStats(
-            collected=collected,
-            after_empty_broken=after_empty,
-            after_module_decl=after_module,
-            after_dedup=after_dedup,
-            after_syntax=counters["after_syntax"],
-            clean=counters["clean"],
-            dependency_only=counters["dependency"],
+            collected=stage("empty_broken").n_in,
+            after_empty_broken=stage("empty_broken").n_out,
+            after_module_decl=stage("module_decl").n_out,
+            after_dedup=stage("dedup").n_out,
+            after_syntax=stage("syntax_check").n_out,
+            clean=run.counters["clean"],
+            dependency_only=run.counters["dependency"],
         )
-        # Mirror the in-memory reconstruction exactly, including its
-        # quirk: the dedup count is reported whenever the stage saw
+        for name in ("empty_broken", "module_decl", "syntax_check"):
+            if stage(name).n_dropped:
+                funnel.removed[name] = stage(name).n_dropped
+        # The seed funnel reports the dedup count whenever the stage saw
         # input, even when nothing was removed.
-        if collected - after_empty:
-            funnel.removed["empty_broken"] = collected - after_empty
-        if after_empty - after_module:
-            funnel.removed["module_decl"] = after_empty - after_module
-        if after_dedup - counters["after_syntax"]:
-            funnel.removed["syntax_check"] = (
-                after_dedup - counters["after_syntax"])
-        if after_module:
-            funnel.removed["dedup"] = n_duplicates
+        if stage("dedup").n_in:
+            funnel.removed["dedup"] = stage("dedup").n_dropped
         return funnel
+
+
+#: The name this class had while a second, engine-based implementation
+#: existed; kept for callers that import it.
+StreamingCurationPipeline = CurationPipeline

@@ -34,7 +34,6 @@ from ..pipeline import (
     ResultCache,
     StagedPipeline,
 )
-from ..obs.reportable import warn_deprecated
 from ..resilience.runtime import Resilience
 from ..verilog.frontend import FrontEndMemo
 from .config import EvalConfig
@@ -160,36 +159,8 @@ def sample_seed(seed: int, problem_index: int, sample_index: int) -> int:
     return int.from_bytes(digest, "little")
 
 
-#: Legacy declarative kwargs and the EvalConfig field each maps onto.
-_LEGACY_CONFIG_KWARGS = ("n_samples", "temperature", "seed",
-                         "n_test_vectors", "model_name")
-
-
-def resolve_config(config: Optional[EvalConfig],
-                   legacy: Dict[str, object],
-                   caller: str = "evaluate_model") -> EvalConfig:
-    """Fold a possibly-legacy call surface into one :class:`EvalConfig`.
-
-    ``legacy`` holds declarative kwargs from the pre-config signature
-    (``n_samples=...``, ``seed=...``); each maps 1:1 onto a config
-    field and emits a :class:`DeprecationWarning`.  Mixing them with an
-    explicit ``config`` is a :class:`TypeError` — one source of truth.
-    """
-    unknown = set(legacy) - set(_LEGACY_CONFIG_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword arguments "
-            f"{sorted(unknown)}")
-    if legacy:
-        if config is not None:
-            raise TypeError(
-                f"{caller}() takes either a config or legacy keyword "
-                f"arguments, not both (got config plus "
-                f"{sorted(legacy)})")
-        warn_deprecated(
-            f"passing {sorted(legacy)} to {caller}() is deprecated; "
-            "build an EvalConfig and pass it as the config argument")
-        return EvalConfig(**legacy)  # type: ignore[arg-type]
+def resolve_config(config: Optional[EvalConfig]) -> EvalConfig:
+    """``config``, or the default :class:`EvalConfig` for None."""
     return config if config is not None else EvalConfig()
 
 
@@ -202,7 +173,6 @@ def evaluate_model(
     cache: Optional[ResultCache] = None,
     obs: Optional[Observability] = None,
     resilience: Optional[Resilience] = None,
-    **legacy,
 ) -> EvalReport:
     """Run the full sampling + functional-check loop.
 
@@ -213,10 +183,7 @@ def evaluate_model(
             drained once before fan-out.
         config: the declarative parameters as one frozen
             :class:`EvalConfig` (sample count, temperature, seed,
-            vectors, report label); ``None`` means defaults.  The old
-            per-kwarg spelling (``n_samples=...``, ``seed=...``) still
-            works through a deprecation shim that maps 1:1 onto a
-            config.
+            vectors, report label); ``None`` means defaults.
         executor: per-problem fan-out; defaults to a thread pool
             (override with ``REPRO_PIPELINE_MODE=serial``).
         cache: functional-test outcome cache; pass a shared instance to
@@ -229,7 +196,7 @@ def evaluate_model(
             the run journals per-problem batches and resumes a killed
             evaluation without re-sampling finished problems.
     """
-    config = resolve_config(config, legacy)
+    config = resolve_config(config)
     n_samples = config.n_samples
     temperature = config.temperature
     seed = config.seed

@@ -190,7 +190,6 @@ def evaluate_with_repair(
     cache: Optional[ResultCache] = None,
     obs: Optional[Observability] = None,
     resilience: Optional[Resilience] = None,
-    **legacy,
 ) -> RepairEvalReport:
     """The sampling + functional-check loop with repair retries.
 
@@ -215,7 +214,7 @@ def evaluate_with_repair(
             for everything else).
         executor / cache / obs / resilience: as in ``evaluate_model``.
     """
-    config = resolve_config(config, legacy, caller="evaluate_with_repair")
+    config = resolve_config(config)
     budget = config.repair_budget
     problems = list(problems)
     obs = resolve(obs)

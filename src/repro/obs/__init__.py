@@ -31,7 +31,6 @@ from .reportable import (
     Reportable,
     report_json,
     strip_schema,
-    warn_deprecated,
 )
 from .tracing import NullTracer, Span, SpanContext, Tracer, worker_tracer
 
@@ -54,6 +53,5 @@ __all__ = [
     "resolve",
     "rss_peak_bytes",
     "strip_schema",
-    "warn_deprecated",
     "worker_tracer",
 ]

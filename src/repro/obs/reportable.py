@@ -14,14 +14,12 @@ own serialisation quirks (different ``to_json`` defaults, ad-hoc
 Legacy payload shapes are *not* changed — ``schema`` lives on the
 class, not inside pre-existing ``to_dict`` outputs, so committed JSON
 artefacts stay byte-identical (golden-tested in
-``tests/obs/test_reportable.py``).  Divergent old signatures keep
-working through :func:`warn_deprecated` shims.
+``tests/obs/test_reportable.py``).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Any, Dict, Optional, Protocol, runtime_checkable
 
 #: Namespace prefix shared by every schema identifier.
@@ -54,7 +52,3 @@ def strip_schema(data: Dict[str, Any]) -> Dict[str, Any]:
                 if key != "schema"}
     return data
 
-
-def warn_deprecated(message: str) -> None:
-    """Emit the standard deprecation warning for a shimmed signature."""
-    warnings.warn(message, DeprecationWarning, stacklevel=3)

@@ -82,7 +82,7 @@ class Quarantined:
 
 
 @dataclass(frozen=True)
-class _Retried:
+class Retried:
     """Success-after-retry marker: carries the result plus how many
     retries it cost, so the parent process can count them no matter
     which pool the work ran in."""
@@ -155,7 +155,7 @@ class _GuardedFn:
                 continue
             if self.breaker is not None:
                 self.breaker.record_success()
-            return _Retried(result, attempt - 1)
+            return Retried(result, attempt - 1)
 
     def _call_with_deadline(self, value: Any) -> Any:
         """The general path: :meth:`RetryPolicy.run` times every attempt
@@ -180,7 +180,7 @@ class _GuardedFn:
         if self.breaker is not None:
             self.breaker.record_success()
         if retries:
-            return _Retried(result, retries)
+            return Retried(result, retries)
         return result
 
 
@@ -209,7 +209,7 @@ class StageShield:
     def settle(self, results: List[Any]) -> List[Any]:
         settled: List[Any] = []
         for result in results:
-            if isinstance(result, _Retried):
+            if isinstance(result, Retried):
                 self.resilience.record_retry(self.site, result.retries)
                 settled.append(result.result)
             else:

@@ -27,7 +27,6 @@ See ``examples/serve.py`` for the runnable quickstart.
 from .core import PyraNetService, UnknownJobError, UnknownStoreError
 from .client import ServiceClient, ServiceError
 from .handlers import (
-    HANDLERS,
     JobContext,
     dataset_digest,
     register_handler,
@@ -48,7 +47,6 @@ from .queue import JobQueue, QUEUE_SIGNATURE
 from .workers import WorkerPool, default_resilience
 
 __all__ = [
-    "HANDLERS",
     "Job",
     "JobContext",
     "JobQueue",

@@ -30,8 +30,8 @@ from ..pipeline import ParallelExecutor, ResultCache
 from ..resilience import Resilience
 from ..store import SamplingService, StoreManifest, StoreReader
 from ..store.manifest import MANIFEST_NAME
-from .handlers import HANDLERS, JobContext
-from .jobs import validate_payload
+from .handlers import JobContext
+from .jobs import get_job_type, job_type_names, validate_payload
 from .jobs import Job
 from .queue import JobQueue
 from .workers import WorkerPool, default_resilience
@@ -118,9 +118,9 @@ class PyraNetService:
                params: Optional[Dict[str, Any]] = None,
                idempotency_key: Optional[str] = None) -> Dict[str, Any]:
         """``POST /jobs``: enqueue (or dedupe onto) a job."""
-        if job_type not in HANDLERS:
+        if get_job_type(job_type) is None:
             raise ValueError(f"unknown job type {job_type!r}; known: "
-                             f"{sorted(HANDLERS)}")
+                             f"{job_type_names()}")
         validate_payload(job_type, params or {})
         job, created = self.queue.submit(job_type, params,
                                          idempotency_key=idempotency_key)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from collections.abc import MutableMapping
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional
@@ -34,14 +33,7 @@ from typing import Any, Callable, Dict, Optional
 from ..obs import Observability
 from ..pipeline import ParallelExecutor
 from ..resilience import Checkpointer, FaultPlan, Resilience
-from .jobs import (
-    Job,
-    get_job_type,
-    job_type_names,
-    params_digest,
-    register_job_type,
-    unregister_job_type,
-)
+from .jobs import Job, params_digest, register_job_type
 
 #: Store names are path components; anything else is rejected.
 _STORE_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
@@ -301,7 +293,7 @@ def run_repair_job(job: Job, ctx: JobContext,
 
     Runs the :mod:`repro.repairloop` over mutated synthetic designs
     (:func:`repro.corpus.repair_trajectories`), streams the fixed
-    broken→fixed pairs through the streaming curation path, and —
+    broken→fixed pairs through curation, and —
     with a ``store`` param — lands them in a named sharded store whose
     facets carry the ``repair`` origin.
 
@@ -310,7 +302,7 @@ def run_repair_job(job: Job, ctx: JobContext,
     and ``store`` (omit for run-and-report-only).
     """
     from ..corpus.repair_source import repair_trajectories
-    from ..dataset.streaming import StreamingCurationPipeline
+    from ..dataset.streaming import CurationPipeline
 
     p = job.params
     seed = int(p.get("seed", 0))
@@ -329,7 +321,7 @@ def run_repair_job(job: Job, ctx: JobContext,
             fault_plan=ctx.fault_plan, obs=obs),
     )
     summary: Dict[str, Any] = trajectories.summary()
-    pipeline = StreamingCurationPipeline(
+    pipeline = CurationPipeline(
         dedup_threshold=float(p.get("dedup_threshold", 0.8)),
         seed=seed, executor=ctx.executor, obs=obs,
         resilience=ctx.job_resilience(job, obs))
@@ -439,40 +431,6 @@ def run_formal_job(job: Job, ctx: JobContext,
 
 
 # -- registration -------------------------------------------------------
-
-
-class _RunnerView(MutableMapping):
-    """``HANDLERS``: the historical name→runner mapping, now a live
-    view over the :func:`repro.service.jobs.register_job_type`
-    registry.  Mutation flows through (``HANDLERS[name] = fn`` is
-    :func:`register_job_type` without a schema; ``pop`` unregisters),
-    so code written against either surface sees one set of types."""
-
-    def __getitem__(self, name: str):
-        job_type = get_job_type(name)
-        if job_type is None:
-            raise KeyError(name)
-        return job_type.runner
-
-    def __setitem__(self, name: str, runner) -> None:
-        register_job_type(name, runner)
-
-    def __delitem__(self, name: str) -> None:
-        unregister_job_type(name)
-
-    def __iter__(self):
-        return iter(job_type_names())
-
-    def __len__(self) -> int:
-        return len(job_type_names())
-
-    def __repr__(self) -> str:
-        return f"HANDLERS({job_type_names()})"
-
-
-#: name -> handler; extend via :func:`register_handler` (or, with a
-#: payload schema, :func:`repro.service.jobs.register_job_type`).
-HANDLERS: MutableMapping = _RunnerView()
 
 
 def register_handler(

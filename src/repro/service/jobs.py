@@ -25,10 +25,7 @@ What a type name *means* — which runner executes it and what its
 payload looks like — lives here too, in one
 :func:`register_job_type` registry.  Workers, the submit path, and
 the HTTP surface all resolve types through it, so a new workload
-plugs in with one call instead of edits across three modules.  The
-:data:`~repro.service.handlers.HANDLERS` mapping in
-:mod:`~repro.service.handlers` remains as a mutable name→runner view
-over this registry for existing callers.
+plugs in with one call instead of edits across three modules.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ from ..pipeline import ParallelExecutor
 from ..resilience import Resilience
 from ..resilience.retry import RetryPolicy
 from ..resilience.runtime import Quarantined
-from .handlers import HANDLERS, JobContext
-from .jobs import Job
+from .handlers import JobContext
+from .jobs import Job, get_job_type, job_type_names
 from .queue import JobQueue
 
 #: Default job-level retry: one retry for transient failures, no
@@ -190,10 +190,11 @@ class WorkerPool:
     def _run_handler(self, job: Job) -> Dict[str, Any]:
         """Execute one job under a fresh per-job observability handle;
         the merged run report ships back with the result."""
-        handler = HANDLERS.get(job.type)
-        if handler is None:
+        job_type = get_job_type(job.type)
+        if job_type is None:
             raise ValueError(f"unknown job type {job.type!r}; known: "
-                             f"{sorted(HANDLERS)}")
+                             f"{job_type_names()}")
+        handler = job_type.runner
         started = time.perf_counter()
         job_obs = Observability()
         with self.obs.span("service.job.execute", job_id=job.job_id,

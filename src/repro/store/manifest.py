@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..obs.reportable import strip_schema, warn_deprecated
+from ..obs.reportable import strip_schema
 from .errors import ManifestError
 from .shard import ShardInfo
 
@@ -30,10 +30,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: Bumped when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 1
-
-#: Sentinel distinguishing "caller said nothing" from ``indent=None``.
-_INDENT_UNSET = object()
-
 
 @dataclass
 class StoreManifest:
@@ -169,19 +165,7 @@ class StoreManifest:
             "shards": [info.to_dict() for info in self.shards],
         }
 
-    def to_json(self, indent: Any = _INDENT_UNSET) -> str:
-        if indent is _INDENT_UNSET:
-            # The historical default was indent=2, unlike every other
-            # Reportable (compact by default).  Keep emitting the old
-            # shape for now so pinned manifest bytes don't change under
-            # silent callers, but steer them to say what they mean.
-            warn_deprecated(
-                "StoreManifest.to_json() without an explicit indent is "
-                "deprecated; it currently defaults to indent=2 but will "
-                "align with the Reportable contract (compact, "
-                "indent=None) in a future release — pass indent=2 to "
-                "keep the current output")
-            indent = 2
+    def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @classmethod

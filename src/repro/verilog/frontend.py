@@ -154,13 +154,21 @@ class FrontEndMemo:
             yield self
         finally:
             ACTIVE_MEMO.reset(token)
-            target = resolve(obs)
-            for tier, (hits, misses) in self.stats().items():
-                hits_before, misses_before = before[tier]
-                target.counter(f"verilog.frontend.{tier}.hit").inc(
-                    hits - hits_before)
-                target.counter(f"verilog.frontend.{tier}.miss").inc(
-                    misses - misses_before)
+            publish_counts(
+                {tier: (hits - before[tier][0], misses - before[tier][1])
+                 for tier, (hits, misses) in self.stats().items()}, obs)
+
+
+def publish_counts(stats: Dict[str, Tuple[int, int]],
+                   obs: Optional[Observability]) -> None:
+    """Add per-tier ``(hits, misses)`` — :meth:`FrontEndMemo.stats`
+    of a scope that ran where ``obs`` could not reach, such as a worker
+    process — to ``obs``'s ``verilog.frontend.<tier>.hit``/``.miss``
+    counters."""
+    target = resolve(obs)
+    for tier, (hits, misses) in stats.items():
+        target.counter(f"verilog.frontend.{tier}.hit").inc(hits)
+        target.counter(f"verilog.frontend.{tier}.miss").inc(misses)
 
 
 def join_scope() -> ContextManager[FrontEndMemo]:
@@ -172,4 +180,5 @@ def join_scope() -> ContextManager[FrontEndMemo]:
     return FrontEndMemo().scope()
 
 
-__all__ = ["FrontEndMemo", "MEMO_SCHEMA", "join_scope", "memo_key"]
+__all__ = ["FrontEndMemo", "MEMO_SCHEMA", "join_scope", "memo_key",
+           "publish_counts"]

@@ -10,7 +10,7 @@ from repro.corpus.repair_source import (
     repair_trajectories,
     repair_trajectory_batches,
 )
-from repro.dataset.streaming import StreamingCurationPipeline
+from repro.dataset.streaming import CurationPipeline
 from repro.obs import Observability
 from repro.pipeline import ParallelExecutor
 from repro.store.manifest import StoreManifest
@@ -96,7 +96,7 @@ class TestBatches:
 
 class TestStreamingIntegration:
     def test_curates_into_store_with_repair_facet(self, tmp_path):
-        pipeline = StreamingCurationPipeline(seed=7)
+        pipeline = CurationPipeline(seed=7)
         outcome = pipeline.curate_to_store(
             repair_trajectory_batches(n_candidates=12, seed=7,
                                       budget=2, batch_size=4),

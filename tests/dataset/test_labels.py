@@ -17,7 +17,6 @@ from repro.dataset.ranking import (
     round_half_up,
     score_code,
     score_from_penalty,
-    score_many,
 )
 from repro.dataset.records import Complexity
 from repro.verilog import measure
@@ -106,24 +105,6 @@ class TestRounding:
     def test_clamped_to_1_for_parseable_code(self):
         assert score_from_penalty(1000.0) == 1
         assert score_from_penalty(0.0) == 20
-
-
-class TestScoreMany:
-    def test_parity_with_score_code(self):
-        rng = random.Random(4)
-        codes = [CLEAN, "module nope(input a endmodule", ""]
-        for seed in range(9):  # >= 8 samples forces the numpy path
-            design = generate_design("alu", random.Random(seed))
-            codes.append(mutate.degrade_style(design.source, rng,
-                                              rng.random()).source)
-        assert score_many(codes) == [score_code(code) for code in codes]
-
-    def test_parity_on_small_batches(self):
-        codes = [CLEAN, "module nope(input a endmodule"]
-        assert score_many(codes) == [score_code(code) for code in codes]
-
-    def test_empty_batch(self):
-        assert score_many([]) == []
 
 
 class TestComplexity:

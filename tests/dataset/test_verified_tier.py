@@ -1,4 +1,4 @@
-"""The verified tier: formal gating above layer 1, mem/stream parity."""
+"""The verified tier: formal gating above layer 1."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.corpus.github_sim import RawFile
 from repro.dataset.layering import LayerReport
 from repro.dataset.pipeline import CurationPipeline
 from repro.dataset.records import DatasetEntry
-from repro.dataset.streaming import StreamingCurationPipeline
 
 # A clean, well-documented design inside the formal subset: it should
 # rank 20/20, compile clean, and verify.
@@ -117,18 +116,3 @@ class TestVerifiedGating:
             assert back.verified == entry.verified
             assert back.verified_detail == entry.verified_detail
 
-
-class TestStreamingParity:
-    def test_verified_fields_identical_across_paths(self, corpus, curated):
-        result = StreamingCurationPipeline(seed=5).run(corpus)
-        mem = {e.entry_id: (e.verified, e.verified_detail)
-               for e in curated.dataset}
-        stream = {e.entry_id: (e.verified, e.verified_detail)
-                  for e in result.dataset}
-        assert mem == stream
-        assert any(flag for flag, _ in stream.values())
-
-    def test_n_verified_identical_across_paths(self, corpus, curated):
-        result = StreamingCurationPipeline(seed=5).run(corpus)
-        assert (result.report.layers.n_verified
-                == curated.report.layers.n_verified == 1)

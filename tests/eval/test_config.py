@@ -1,13 +1,9 @@
-"""EvalConfig: validation, serialisation, and the legacy-kwarg shim."""
-
-import json
+"""EvalConfig: validation, serialisation, and the None default."""
 
 import pytest
 
 from repro.eval.config import DEFAULT_KS, EvalConfig
-from repro.eval.harness import evaluate_model, resolve_config
-from repro.eval.problems.machine import build_machine_problems
-from tests.eval.test_harness import OracleModel
+from repro.eval.harness import resolve_config
 
 
 class TestConfigObject:
@@ -62,39 +58,7 @@ class TestConfigObject:
 class TestResolveConfig:
     def test_plain_config_passthrough(self):
         config = EvalConfig(n_samples=3)
-        assert resolve_config(config, {}) is config
+        assert resolve_config(config) is config
 
     def test_no_args_yields_defaults(self):
-        assert resolve_config(None, {}) == EvalConfig()
-
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="EvalConfig"):
-            config = resolve_config(None, {"n_samples": 3, "seed": 7})
-        assert config == EvalConfig(n_samples=3, seed=7)
-
-    def test_config_plus_legacy_rejected(self):
-        with pytest.raises(TypeError):
-            resolve_config(EvalConfig(), {"n_samples": 3})
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="bogus"):
-            resolve_config(None, {"bogus": 1})
-
-
-class TestLegacyParity:
-    def test_legacy_call_matches_config_call(self):
-        problems = build_machine_problems()[:2]
-        model = OracleModel(problems)
-        config_report = evaluate_model(
-            model, problems,
-            EvalConfig(n_samples=2, seed=4, n_test_vectors=6))
-        with pytest.warns(DeprecationWarning):
-            legacy_report = evaluate_model(
-                model, problems, n_samples=2, seed=4, n_test_vectors=6)
-        config_results = json.dumps(
-            [result.to_dict() for result in config_report.results],
-            sort_keys=True)
-        legacy_results = json.dumps(
-            [result.to_dict() for result in legacy_report.results],
-            sort_keys=True)
-        assert config_results == legacy_results
+        assert resolve_config(None) == EvalConfig()

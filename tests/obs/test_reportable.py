@@ -133,14 +133,6 @@ class TestRoundTrips:
 
 
 class TestManifestDeprecationShim:
-    def test_implicit_indent_warns_but_keeps_old_bytes(self):
-        manifest = StoreManifest()
-        with pytest.warns(DeprecationWarning,
-                          match="explicit indent"):
-            legacy = manifest.to_json()
-        # The shimmed default must keep emitting the historical shape.
-        assert legacy == manifest.to_json(indent=2)
-
     def test_explicit_indent_does_not_warn(self):
         import warnings
 

@@ -40,7 +40,7 @@ class TestRacingSubmitters:
         service = PyraNetService(tmp_path, n_workers=4, obs=obs,
                                  durable=False)
         calls = []
-        from repro.service import HANDLERS, register_handler
+        from repro.service import register_handler, unregister_job_type
 
         def counting(job, ctx, job_obs):
             calls.append(job.job_id)
@@ -53,7 +53,7 @@ class TestRacingSubmitters:
                                          idempotency_key="one"))
             executed = service.pool.run_pending()
         finally:
-            HANDLERS.pop("count-test")
+            unregister_job_type("count-test")
 
         job_ids = {row["job_id"] for row in results}
         assert len(job_ids) == 1

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs import Observability
 from repro.service import (
-    HANDLERS,
     PyraNetService,
     get_job_type,
     job_type_names,
@@ -43,23 +42,6 @@ class TestRegistry:
         finally:
             unregister_job_type("reg-test")
         assert get_job_type("reg-test") is None
-
-    def test_handlers_view_reflects_registry(self):
-        register_job_type("view-test", _runner)
-        try:
-            assert "view-test" in HANDLERS
-            assert HANDLERS.get("view-test") is _runner
-            assert "view-test" in sorted(HANDLERS)
-        finally:
-            HANDLERS.pop("view-test")
-        assert "view-test" not in HANDLERS
-
-    def test_handlers_mutation_flows_to_registry(self):
-        HANDLERS["mut-test"] = _runner
-        try:
-            assert get_job_type("mut-test").runner is _runner
-        finally:
-            HANDLERS.pop("mut-test")
 
     def test_register_handler_is_schema_less_registration(self):
         register_handler("legacy-test", _runner)

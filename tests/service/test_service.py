@@ -4,11 +4,11 @@ import pytest
 
 from repro.obs import Observability
 from repro.service import (
-    HANDLERS,
     PyraNetService,
     UnknownJobError,
     UnknownStoreError,
     register_handler,
+    unregister_job_type,
 )
 
 
@@ -77,7 +77,7 @@ class TestQuarantine:
             good = service.submit("probe", {"spin": 1})
             assert run_all(service) == 2
         finally:
-            HANDLERS.pop("explode-test")
+            unregister_job_type("explode-test")
 
         failed = service.job(bad["job_id"])
         assert failed["status"] == "failed"
@@ -93,7 +93,7 @@ class TestQuarantine:
             sub = service.submit("explode-test", {})
             run_all(service)
         finally:
-            HANDLERS.pop("explode-test")
+            unregister_job_type("explode-test")
 
         report = service.job_report(sub["job_id"])
         assert report["status"] == "failed"
@@ -116,7 +116,7 @@ class TestQuarantine:
             sub = service.submit("flaky-test", {})
             run_all(service)
         finally:
-            HANDLERS.pop("flaky-test")
+            unregister_job_type("flaky-test")
 
         assert len(calls) == 2  # DEFAULT_JOB_RETRY.max_attempts
         assert service.job(sub["job_id"])["status"] == "done"
