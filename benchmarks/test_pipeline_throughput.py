@@ -1,10 +1,10 @@
-"""Curation throughput — the staged pipeline engine's perf baseline.
+"""Curation throughput — the curation dataflow's perf baseline.
 
 Runs the same curation three ways — serial executor, thread-pool
 executor, and serial again over a warm result cache — and records the
 wall times, per-stage split, and cache hit rate into the benchmark JSON
 (``--benchmark-json``) via ``extra_info``, so later PRs have a
-trajectory to beat.  Also asserts the engine's contract: every mode
+trajectory to beat.  Also asserts the dataflow's contract: every mode
 produces the identical dataset.
 """
 
@@ -36,7 +36,7 @@ def test_pipeline_throughput(benchmark, scale, capsys):
     serial_s = serial.report.trace.wall_time_s
     parallel_s = parallel.report.trace.wall_time_s
     warm_s = warm.report.trace.wall_time_s
-    # Per-stage deltas from the warm run only — the engine-level cache
+    # Per-stage deltas from the warm run only — the run-level cache
     # stats are cumulative across the cold fill too.
     warm_hits = sum(m.cache_hits for m in warm.report.trace.stages)
     warm_misses = sum(m.cache_misses for m in warm.report.trace.stages)
@@ -54,7 +54,7 @@ def test_pipeline_throughput(benchmark, scale, capsys):
 
     with capsys.disabled():
         print()
-        print("Curation pipeline throughput (staged engine)")
+        print("Curation pipeline throughput (CurationPipeline)")
         print(f"  corpus            : {len(raw_files)} files -> "
               f"{len(serial.dataset)} entries")
         print(f"  serial            : {serial_s:8.3f} s")

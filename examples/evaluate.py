@@ -15,10 +15,31 @@ every failed sample gets up to N feedback-driven repair iterations
 (compiler diagnostics for syntax damage, counterexample vectors for
 functional damage), and the report adds the per-iteration fix-rate
 curve.
+
+The script exits non-zero when the printed table breaks the paper's
+shape: pass@k must not fall as k grows, nor pass@1 as the repair
+budget grows.
 """
+
+import sys
+from typing import Dict, List
 
 import _cli
 from repro.core import PyraNet
+
+
+def shape_failures(rows: List[Dict[str, float]]) -> List[str]:
+    """Where ``rows`` (one printed summary per repair budget, in budget
+    order) break pass@k non-decreasing in k or pass@1 in the budget."""
+    failures = []
+    for budget, row in enumerate(rows):
+        values = list(row.values())
+        if values != sorted(values):
+            failures.append(f"r={budget}: pass@k falls as k grows {row}")
+    pass_at_1 = [row["pass@1"] for row in rows]
+    if pass_at_1 != sorted(pass_at_1):
+        failures.append(f"pass@1 falls as r grows {pass_at_1}")
+    return failures
 
 
 def main() -> None:
@@ -56,8 +77,9 @@ def main() -> None:
             model, suite=args.suite, repair_budget=args.repair_budget,
             n_problems=args.n_problems)
         print(f"\npass@k with repair budget {args.repair_budget}:")
-        for budget in range(args.repair_budget + 1):
-            row = report.summary(ks=config.ks, budget=budget)
+        rows = [report.summary(ks=config.ks, budget=budget)
+                for budget in range(args.repair_budget + 1)]
+        for budget, row in enumerate(rows):
             print(f"  r={budget}: " + "  ".join(
                 f"{key}={value:5.1f}" for key, value in row.items()))
         curve = [round(rate, 3) for rate in report.fix_rate_curve()]
@@ -67,13 +89,17 @@ def main() -> None:
         report = pyranet.evaluate(model, suite=args.suite,
                                   n_problems=args.n_problems)
         print(f"\n{report.suite} suite, {len(report.results)} problems:")
-        for key, value in report.summary(config.ks).items():
+        rows = [report.summary(config.ks)]
+        for key, value in rows[0].items():
             print(f"  {key} = {value:5.1f}")
         payload = report.to_dict()
 
     payload["config"] = config.to_dict()
     _cli.write_report(args, payload)
     _cli.write_trace(args, obs, example="evaluate")
+    failures = shape_failures(rows)
+    if failures:
+        sys.exit("error: " + "; ".join(failures))
 
 
 if __name__ == "__main__":

@@ -72,8 +72,7 @@ class PyraNet:
         temperature: sampling temperature during evaluation.
         n_test_vectors: stimulus per functional test.
         executor: shared executor for curation and evaluation fan-out;
-            ``None`` uses each subsystem's default (serial curation,
-            threaded evaluation).
+            ``None`` runs both serially.
         obs: shared observability handle.  A live one by default, so
             every run driven through the facade lands in a single
             registry/trace and :meth:`run_report` /

@@ -85,6 +85,7 @@ from ..obs import Observability, resolve
 from ..obs.reportable import strip_schema
 from ..pipeline import (ParallelExecutor, PipelineTrace, ResultCache,
                         StageMetrics, content_key)
+from ..pipeline.executor import attach_run
 from ..resilience.checkpoint import Checkpointer, ResumeState, run_signature
 from ..resilience.runtime import Quarantined, Resilience, Retried
 from ..resilience.runtime import resolve as resolve_resilience
@@ -722,19 +723,10 @@ class CurationPipeline:
                         else (0, 0))
         layers = LayerReport()
 
-        # Attach the run's tracer so pool work records worker spans, and
-        # bind the resilience runtime to this run's observability so
-        # retry/trip/resume counters land in its registry; both are
-        # restored afterwards because executors and runtimes are shared.
-        previous_tracer = executor.tracer
-        if obs.enabled:
-            executor.tracer = obs.tracer
-        previous_res_obs = res.obs
-        if res.enabled and res.obs is None:
-            res.obs = obs
         started = time.perf_counter()
         try:
-            with obs.span("pipeline.curation") as root:
+            with attach_run(executor, obs, res), \
+                    obs.span("pipeline.curation") as root:
                 phase_started = time.perf_counter()
                 with obs.span("curation.empty_broken") as span:
                     span.meta["n_batches"] = self._filter_and_sign(
@@ -778,8 +770,6 @@ class CurationPipeline:
                 root.meta["n_input"] = run.counters["collected"]
                 root.meta["n_output"] = n_entries
         finally:
-            executor.tracer = previous_tracer
-            res.obs = previous_res_obs
             run.spill.cleanup()
             if run.shuffle is not None:
                 run.shuffle.cleanup()

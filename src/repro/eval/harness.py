@@ -5,14 +5,17 @@ temperature, run each against the problem's hidden functional
 testbench, and estimate pass@k from the per-problem pass counts —
 VerilogEval's protocol end to end.
 
-The loop runs on the staged pipeline engine
-(:mod:`repro.pipeline`): each problem's sampling + simulation is one
-record fanned out across a :class:`~repro.pipeline.ParallelExecutor`
-(threads by default — ``generate`` and the simulator only read shared
-state), and functional-test outcomes are memoised in a shared
-:class:`~repro.pipeline.ResultCache` keyed on the completion text, so
-identical completions — within a run or across models evaluated
-against the same suite — simulate once.
+The protocol is written once: :func:`_sample_outcomes` is the
+per-sample loop (seed derivation, generation, outcome cache, stimulus
+seed) and :func:`_map_problems` the per-problem map, both shared with
+:func:`repro.eval.repair_eval.evaluate_with_repair`.  The map runs each
+problem through a :class:`~repro.pipeline.ParallelExecutor` (serial by
+default — ``generate`` and the simulator only read shared state, so a
+pool is safe but opt-in), guarded by the run's resilience shield and,
+with a checkpointer, journaled per batch of problems.  Functional-test
+outcomes are memoised in a shared :class:`~repro.pipeline.ResultCache`
+keyed on the completion text, so identical completions — within a run
+or across models evaluated against the same suite — simulate once.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from ..corpus.spec import DesignSpec
 from ..model.interfaces import FineTunable
@@ -30,11 +35,13 @@ from ..obs.reportable import strip_schema
 from ..pipeline import (
     ParallelExecutor,
     PipelineTrace,
-    RecordStage,
     ResultCache,
-    StagedPipeline,
+    StageMetrics,
 )
-from ..resilience.runtime import Resilience
+from ..pipeline.executor import attach_run
+from ..resilience.checkpoint import run_signature
+from ..resilience.runtime import Quarantined, Resilience
+from ..resilience.runtime import resolve as resolve_resilience
 from ..verilog.frontend import FrontEndMemo
 from .config import EvalConfig
 from .functional import TestOutcome, run_functional_test
@@ -164,6 +171,164 @@ def resolve_config(config: Optional[EvalConfig]) -> EvalConfig:
     return config if config is not None else EvalConfig()
 
 
+def _model_label(model: FineTunable, config: EvalConfig) -> str:
+    """The name a report gives ``model``: the config's label, else the
+    model profile's name, else the model's class name."""
+    return config.model_name or getattr(
+        getattr(model, "profile", None), "name", type(model).__name__
+    )
+
+
+def _sample_outcomes(
+    model: FineTunable, problem: EvalProblem, problem_index: int,
+    config: EvalConfig, cache: ResultCache,
+) -> Iterator[Tuple[int, str, TestOutcome]]:
+    """The per-sample loop of the protocol, for one problem.
+
+    Yields ``(sample index, completion, outcome)`` for each of
+    ``config.n_samples`` completions, each generated under its own
+    :func:`sample_seed` and checked against the problem's testbench.
+    Identical completions share one functional-test run through
+    ``cache``; sampling repeats exemplars often, so this cuts
+    simulation cost a lot without changing any outcome.
+    """
+    n_vectors = config.n_test_vectors
+    namespace = f"functional/{problem.problem_id}/{n_vectors}"
+    for s_index in range(config.n_samples):
+        rng = random.Random(sample_seed(config.seed, problem_index,
+                                        s_index))
+        code = model.generate(
+            problem.description,
+            temperature=config.temperature,
+            rng=rng,
+            module_header=problem.module_header,
+        )
+        outcome = cache.get_or_compute(
+            namespace, code,
+            lambda: run_functional_test(code, problem.spec,
+                                        n_vectors=n_vectors, seed=1000),
+        )
+        yield s_index, code, outcome
+
+
+#: Names the journal's batch payload layout in the run signature, so a
+#: journal written with any other layout is discarded, never replayed.
+_JOURNAL_LAYOUT = "problem-rows/v1"
+
+
+def _map_problems(
+    name: str,
+    stage: str,
+    problems: Sequence[EvalProblem],
+    run_problem: Callable[[Tuple[int, EvalProblem]], Any],
+    *,
+    executor: Optional[ParallelExecutor],
+    cache: ResultCache,
+    obs: Observability,
+    resilience: Optional[Resilience],
+    meta: Dict[str, Any],
+    signature: Any,
+) -> Tuple[List[Any], PipelineTrace]:
+    """``run_problem`` over ``(index, problem)`` pairs, in input order.
+
+    The per-problem map both evaluations run on.  Each problem runs in
+    its own :class:`~repro.verilog.frontend.FrontEndMemo` scope (a
+    completion parses once across generation, interface lookup,
+    simulation and repair), guarded at ``stage.<stage>`` by the run's
+    resilience shield; a quarantined problem is dropped from the
+    results as ``quarantined:<error_type>`` and filed in the dead-letter
+    report.  With a checkpointer, problems run in batches of its
+    ``interval``, each committed as it finishes, and a resumed run
+    replays the committed prefix instead of re-sampling it.
+
+    Records the spans ``pipeline.<name>`` > ``<name>.<stage>`` >
+    ``worker[i]`` and publishes one :class:`PipelineTrace` — a single
+    stage with the outcome cache's traffic — carrying ``meta``.
+    ``signature`` holds the parameters a journal must match to resume.
+    """
+    executor = executor if executor is not None else ParallelExecutor.serial()
+    res = resolve_resilience(resilience)
+    ckpt = res.checkpointer if res.enabled else None
+    shield = res.shield(f"stage.{stage}", executor.mode)
+    items = list(enumerate(problems))
+
+    def in_scope(item: Tuple[int, EvalProblem]) -> Any:
+        with FrontEndMemo().scope(obs):
+            return run_problem(item)
+
+    guarded = shield.wrap(in_scope) if shield is not None else in_scope
+
+    def run_batch(batch: List[Tuple[int, EvalProblem]]) -> Dict[str, Any]:
+        outcomes = executor.map(guarded, batch)
+        if shield is not None:
+            outcomes = shield.settle(outcomes)
+        rows: List[Any] = []
+        drops: Dict[str, int] = {}
+        for outcome in outcomes:
+            if isinstance(outcome, Quarantined):
+                reason = f"quarantined:{outcome.error_type}"
+                drops[reason] = drops.get(reason, 0) + 1
+            else:
+                rows.append(outcome)
+        return {"rows": rows, "drops": drops}
+
+    # Without a checkpointer, one map call over every problem (so a
+    # pool chunks the whole suite); with one, a map call per batch.
+    batches, committed, state = [items], 0, None
+    metrics = StageMetrics(name=stage, n_in=len(items))
+    hits_before, misses_before = cache.hits, cache.misses
+    rows: List[Any] = []
+    resumed = 0
+    started = time.perf_counter()
+    with attach_run(executor, obs, res), \
+            obs.span(f"pipeline.{name}", n_input=len(items)) as run_span:
+        with obs.span(f"{name}.{stage}", n_in=len(items)) as span:
+            if ckpt is not None:
+                state = ckpt.begin(run_signature(
+                    problems, [stage],
+                    extra=(name, _JOURNAL_LAYOUT, signature)))
+                batches = [items[start:start + ckpt.interval]
+                           for start in range(0, len(items),
+                                              ckpt.interval)]
+                committed = state.completed_batches(0)
+            for batch_index, batch in enumerate(batches):
+                if batch_index < committed:
+                    payload = state.batch_result(0, batch_index)
+                    resumed += 1
+                else:
+                    payload = run_batch(batch)
+                    if ckpt is not None:
+                        ckpt.record_batch(0, batch_index, stage, payload)
+                rows.extend(payload["rows"])
+                for reason, count in payload["drops"].items():
+                    metrics.drops[reason] = (metrics.drops.get(reason, 0)
+                                             + count)
+            if resumed:
+                res.record_resumed(batches=resumed)
+            span.meta["n_out"] = len(rows)
+            span.meta["resumed_batches"] = resumed
+        run_span.meta["n_output"] = len(rows)
+    metrics.wall_time_s = time.perf_counter() - started
+    metrics.n_out = len(rows)
+    metrics.cache_hits = cache.hits - hits_before
+    metrics.cache_misses = cache.misses - misses_before
+    trace = PipelineTrace(pipeline=name, stages=[metrics],
+                          wall_time_s=metrics.wall_time_s)
+    trace.meta["executor"] = executor.describe()
+    trace.meta["n_input"] = len(items)
+    trace.meta["cache"] = cache.stats()
+    if res.enabled:
+        trace.meta["resilience"] = res.summary()
+    trace.meta.update(meta)
+    # Disk-tier entries are written atomically but unsynced during the
+    # run; one directory flush makes the whole run's entries durable.
+    cache.sync_disk()
+    obs.publish_trace(trace)
+    if ckpt is not None:
+        ckpt.finish({"n_output": len(rows)})
+    return rows, trace
+
+
 def evaluate_model(
     model: FineTunable,
     problems: Iterable[EvalProblem],
@@ -184,13 +349,12 @@ def evaluate_model(
         config: the declarative parameters as one frozen
             :class:`EvalConfig` (sample count, temperature, seed,
             vectors, report label); ``None`` means defaults.
-        executor: per-problem fan-out; defaults to a thread pool
-            (override with ``REPRO_PIPELINE_MODE=serial``).
+        executor: per-problem fan-out; defaults to serial.
         cache: functional-test outcome cache; pass a shared instance to
             reuse simulations across models/suites.
         obs: observability handle; the run becomes an ``eval.run`` span
-            enclosing the engine's stage/worker spans, with problem and
-            sample counters in the run's report.
+            enclosing the per-problem map's stage/worker spans, with
+            problem and sample counters in the run's report.
         resilience: resilience runtime — per-problem work retries and
             quarantines under its policy, and with a checkpointer set
             the run journals per-problem batches and resumes a killed
@@ -198,47 +362,19 @@ def evaluate_model(
     """
     config = resolve_config(config)
     n_samples = config.n_samples
-    temperature = config.temperature
-    seed = config.seed
-    n_test_vectors = config.n_test_vectors
     problems = list(problems)
     obs = resolve(obs)
     suite = problems[0].suite if problems else "empty"
-    name = config.model_name or getattr(
-        getattr(model, "profile", None), "name", type(model).__name__
-    )
+    name = _model_label(model, config)
     outcome_cache = cache if cache is not None else ResultCache()
 
-    def _run_problem(indexed) -> ProblemResult:
-        # One front-end memo scope per problem record: a completion is
-        # parsed once across generation, interface lookup and simulation.
-        with FrontEndMemo().scope(obs):
-            return _sample_and_check(indexed)
-
-    def _sample_and_check(indexed) -> ProblemResult:
+    def _run_problem(indexed: Tuple[int, EvalProblem]) -> ProblemResult:
         p_index, problem = indexed
         result = ProblemResult(
             problem_id=problem.problem_id, n_samples=n_samples, n_passed=0
         )
-        # Identical completions share one functional-test run; sampling
-        # repeats exemplars often, so this cuts simulation cost a lot
-        # without changing any outcome.
-        namespace = f"functional/{problem.problem_id}/{n_test_vectors}"
-        for s_index in range(n_samples):
-            rng = random.Random(sample_seed(seed, p_index, s_index))
-            code = model.generate(
-                problem.description,
-                temperature=temperature,
-                rng=rng,
-                module_header=problem.module_header,
-            )
-            outcome = outcome_cache.get_or_compute(
-                namespace, code,
-                lambda: run_functional_test(
-                    code, problem.spec, n_vectors=n_test_vectors,
-                    seed=1000,
-                ),
-            )
+        for _, _, outcome in _sample_outcomes(model, problem, p_index,
+                                             config, outcome_cache):
             if outcome.passed:
                 result.n_passed += 1
             else:
@@ -248,29 +384,18 @@ def evaluate_model(
                 )
         return result
 
-    engine = StagedPipeline(
-        name="evaluation",
-        stages=[RecordStage("sample+simulate", _run_problem)],
-        executor=executor or ParallelExecutor.from_env(default_mode="thread"),
-        cache=outcome_cache,
-        obs=obs,
-        resilience=resilience,
-        checkpoint_extra=(name, n_samples, temperature, seed,
-                          n_test_vectors),
-    )
     with obs.span("eval.run", suite=suite, model=name,
                   n_problems=len(problems), n_samples=n_samples) as span:
-        outcome = engine.run(values=list(enumerate(problems)))
-        report = EvalReport(
-            suite=suite,
-            model_name=name,
-            results=[record.value for record in outcome.records],
-            trace=outcome.trace,
-        )
+        results, trace = _map_problems(
+            "evaluation", "sample+simulate", problems, _run_problem,
+            executor=executor, cache=outcome_cache, obs=obs,
+            resilience=resilience,
+            meta={"model": name, "suite": suite, "n_samples": n_samples},
+            signature=(name, n_samples, config.temperature, config.seed,
+                       config.n_test_vectors))
+        report = EvalReport(suite=suite, model_name=name,
+                            results=results, trace=trace)
         span.meta["pass_at_1"] = round(report.pass_at(1), 1)
-    outcome.trace.meta["model"] = name
-    outcome.trace.meta["suite"] = suite
-    outcome.trace.meta["n_samples"] = n_samples
     obs.counter("eval.problems").inc(len(problems))
     obs.counter("eval.samples").inc(len(problems) * n_samples)
     obs.counter("eval.passed").inc(

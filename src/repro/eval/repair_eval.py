@@ -2,8 +2,9 @@
 
 OriGen's argument: a completion that fails its testbench is not dead —
 it deserves feedback-driven retries.  This module reruns the classic
-VerilogEval protocol (:mod:`repro.eval.harness`, same seed derivation,
-same outcome cache, same functional testbench) and then hands every
+VerilogEval protocol through the same per-sample loop and per-problem
+map as :mod:`repro.eval.harness` (same seed derivation, outcome cache,
+functional testbench and front-end memo scope) and then hands every
 failed sample to the :mod:`repro.repairloop` with a budget of ``r``
 iterations, tracking *at which iteration* each sample first passes.
 
@@ -17,25 +18,24 @@ construction, and the ``r=0`` column is byte-identical to
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..model.interfaces import FineTunable
 from ..obs import Observability, resolve
 from ..obs.reportable import report_json, strip_schema
-from ..pipeline import (
-    ParallelExecutor,
-    PipelineTrace,
-    RecordStage,
-    ResultCache,
-    StagedPipeline,
-)
+from ..pipeline import ParallelExecutor, PipelineTrace, ResultCache
 from ..repairloop import ModelRepairer, Repairer, RepairLoop
 from ..resilience.runtime import Resilience
 from .config import EvalConfig
-from .functional import run_functional_test
-from .harness import EvalProblem, ProblemResult, resolve_config, sample_seed
+from .harness import (
+    EvalProblem,
+    ProblemResult,
+    _map_problems,
+    _model_label,
+    _sample_outcomes,
+    resolve_config,
+)
 from .passk import pass_at_k
 
 
@@ -193,12 +193,12 @@ def evaluate_with_repair(
 ) -> RepairEvalReport:
     """The sampling + functional-check loop with repair retries.
 
-    Sampling, seeding, and the first functional check are *identical*
-    to :func:`~repro.eval.harness.evaluate_model` — same
-    :func:`~repro.eval.harness.sample_seed` derivation, same outcome
-    cache namespace, same stimulus seed — so ``passed_at[0]`` (and
+    Sampling, seeding, and the first functional check run through the
+    same per-sample loop as :func:`~repro.eval.harness.evaluate_model`
+    — same :func:`~repro.eval.harness.sample_seed` derivation, outcome
+    cache namespace and stimulus seed — so ``passed_at[0]`` (and
     everything derived from it) matches the classic report bit for
-    bit.  Failed samples then run through a
+    bit by construction.  Failed samples then run through a
     :class:`~repro.repairloop.RepairLoop` with
     ``config.repair_budget`` iterations; each pass is credited to the
     iteration that produced it.
@@ -219,35 +219,18 @@ def evaluate_with_repair(
     problems = list(problems)
     obs = resolve(obs)
     suite = problems[0].suite if problems else "empty"
-    name = config.model_name or getattr(
-        getattr(model, "profile", None), "name", type(model).__name__
-    )
+    name = _model_label(model, config)
     outcome_cache = cache if cache is not None else ResultCache()
     fixer = repairer if repairer is not None else ModelRepairer(model)
 
-    def _run_problem(indexed) -> RepairProblemResult:
+    def _run_problem(indexed: Tuple[int, EvalProblem]
+                     ) -> RepairProblemResult:
         p_index, problem = indexed
         result = RepairProblemResult(
             problem_id=problem.problem_id, n_samples=config.n_samples,
             passed_at=[0] * (budget + 1))
-        namespace = (
-            f"functional/{problem.problem_id}/{config.n_test_vectors}")
-        for s_index in range(config.n_samples):
-            rng = random.Random(sample_seed(config.seed, p_index,
-                                            s_index))
-            code = model.generate(
-                problem.description,
-                temperature=config.temperature,
-                rng=rng,
-                module_header=problem.module_header,
-            )
-            outcome = outcome_cache.get_or_compute(
-                namespace, code,
-                lambda: run_functional_test(
-                    code, problem.spec,
-                    n_vectors=config.n_test_vectors, seed=1000,
-                ),
-            )
+        for s_index, code, outcome in _sample_outcomes(
+                model, problem, p_index, config, outcome_cache):
             if outcome.passed:
                 for index in range(budget + 1):
                     result.passed_at[index] += 1
@@ -271,35 +254,27 @@ def evaluate_with_repair(
                     result.passed_at[index] += 1
         return result
 
-    engine = StagedPipeline(
-        name="repair-evaluation",
-        stages=[RecordStage("sample+simulate+repair", _run_problem)],
-        executor=executor or ParallelExecutor.from_env(
-            default_mode="thread"),
-        cache=outcome_cache,
-        obs=obs,
-        resilience=resilience,
-        checkpoint_extra=(name, config.n_samples, config.temperature,
-                          config.seed, config.n_test_vectors, budget),
-    )
     with obs.span("eval.repair_run", suite=suite, model=name,
                   n_problems=len(problems),
                   n_samples=config.n_samples,
                   repair_budget=budget) as span:
-        outcome = engine.run(values=list(enumerate(problems)))
+        results, trace = _map_problems(
+            "repair-evaluation", "sample+simulate+repair", problems,
+            _run_problem, executor=executor, cache=outcome_cache, obs=obs,
+            resilience=resilience,
+            meta={"model": name, "suite": suite, "repair_budget": budget},
+            signature=(name, config.n_samples, config.temperature,
+                       config.seed, config.n_test_vectors, budget))
         report = RepairEvalReport(
             suite=suite,
             model_name=name,
             repair_budget=budget,
             config=config.to_dict(),
-            results=[record.value for record in outcome.records],
-            trace=outcome.trace,
+            results=results,
+            trace=trace,
         )
         span.meta["pass_at_1"] = round(report.pass_at(1, 0), 1)
         span.meta["pass_at_1_repaired"] = round(report.pass_at(1), 1)
-    outcome.trace.meta["model"] = name
-    outcome.trace.meta["suite"] = suite
-    outcome.trace.meta["repair_budget"] = budget
     obs.counter("eval.repair.problems").inc(len(problems))
     obs.counter("eval.repair.rescued").inc(
         sum(result.n_repaired for result in report.results))

@@ -1,33 +1,22 @@
-"""Staged pipeline engine: stages, parallel execution, metrics, caching.
+"""Execution primitives: parallel map, result cache, run trace.
 
-The generic machinery behind the curation pipeline
-(:mod:`repro.dataset.pipeline`) and the evaluation harness
-(:mod:`repro.eval.harness`): named map/filter/batch stages over typed
-records, a deterministic-order parallel executor with a serial
-fallback, per-stage wall-time/drop/cache instrumentation, and a
-content-hash result cache for expensive pure per-file work.
+The shared machinery behind curation (:mod:`repro.dataset.pipeline`)
+and evaluation (:mod:`repro.eval.harness`): a deterministic-order
+parallel executor with a serial fallback, a content-hash result cache
+(with an optional persistent disk tier) for expensive pure work, and
+the per-stage :class:`PipelineTrace` every run publishes.
 """
 
 from .cache import ResultCache, content_key
 from .diskcache import DiskCache
-from .engine import PipelineResult, StagedPipeline
 from .executor import ParallelExecutor
 from .metrics import PipelineTrace, StageMetrics
-from .stage import BatchStage, Drop, Keep, Record, RecordStage, Stage
 
 __all__ = [
-    "BatchStage",
     "DiskCache",
-    "Drop",
-    "Keep",
     "ParallelExecutor",
-    "PipelineResult",
     "PipelineTrace",
-    "Record",
-    "RecordStage",
     "ResultCache",
-    "Stage",
-    "StagedPipeline",
     "StageMetrics",
     "content_key",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional
 
 from ..obs.registry import Counter, MetricRegistry, NullRegistry
 from .diskcache import CORRUPT, HIT, DiskCache
@@ -85,8 +85,8 @@ class ResultCache:
         if registry is not None and not isinstance(registry, NullRegistry):
             make = registry.counter
         else:
-            # A null registry would swallow the counts the engine's
-            # trace relies on — fall back to private counters.
+            # A null registry would swallow the counts a run's trace
+            # relies on — fall back to private counters.
             make = Counter
         self._hits = make(f"cache.{name}.hits")
         self._misses = make(f"cache.{name}.misses")
@@ -155,55 +155,6 @@ class ResultCache:
         self._misses.inc()
         return default
 
-    def get_many(
-        self,
-        keys: Sequence[str],
-        default: Any = None,
-        mapper: Optional[Callable[[Callable[[str], Any], Sequence[str]],
-                                  List[Any]]] = None,
-    ) -> List[Any]:
-        """Batched :meth:`get` over distinct ``keys``.
-
-        One pass over the memory tier under a single lock, then one
-        batched probe of the disk tier for the remainder — optionally
-        fanned out through ``mapper`` (e.g. ``executor.io_map``), since
-        a warm run's latency is dominated by those reads.  Counter
-        semantics match per-key :meth:`get` calls exactly.
-        """
-        found: Dict[str, Any] = {}
-        missing: List[str] = []
-        with self._lock:
-            for key in keys:
-                if key in found or key in missing:
-                    continue
-                if key in self._entries:
-                    found[key] = self._entries[key]
-                    self._entries.move_to_end(key)
-                else:
-                    missing.append(key)
-        if found:
-            self._hits.inc(len(found))
-        if missing:
-            if self.disk is not None:
-                probes = (mapper(self.disk.get, missing) if mapper
-                          else [self.disk.get(key) for key in missing])
-                n_hits = 0
-                for key, (status, value) in zip(missing, probes):
-                    if status == HIT:
-                        self._remember(key, value)
-                        found[key] = value
-                        n_hits += 1
-                        self._disk_hits.inc()
-                    elif status == CORRUPT:
-                        self._disk_corrupt.inc()
-                    else:
-                        self._disk_misses.inc()
-                self._hits.inc(n_hits)
-                self._misses.inc(len(missing) - n_hits)
-            else:
-                self._misses.inc(len(missing))
-        return [found[key] if key in found else default for key in keys]
-
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
@@ -237,9 +188,9 @@ class ResultCache:
         return value
 
     def sync_disk(self) -> None:
-        """Flush the disk tier's directory once (the engine calls this
-        at the end of a run, making the run's entries durable without
-        per-entry fsyncs)."""
+        """Flush the disk tier's directory once (curation and evaluation
+        call this at the end of a run, making the run's entries durable
+        without per-entry fsyncs)."""
         if self.disk is not None:
             self.disk.sync()
 

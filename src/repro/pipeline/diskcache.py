@@ -20,8 +20,9 @@ and the caller recomputes) — a corrupted entry is never served.  An
 entry from a different schema version is discarded the same way.
 
 Writes skip the per-entry ``fsync`` (``durable=False``): thousands of
-small syncs would dominate a cold run.  The engine instead calls
-:meth:`sync` once when a pipeline run finishes, flushing the directory
+small syncs would dominate a cold run.  Instead, a curation or
+evaluation run calls :meth:`sync` once when it finishes (through
+:meth:`ResultCache.sync_disk`), flushing the directory
 so the whole run's entries become durable together (see
 :func:`repro.resilience.atomic.fsync_dir` for why the directory needs
 the sync, not just the files).
@@ -58,9 +59,9 @@ class DiskCache:
         max_entries: evict least-recently-used entries beyond this
             count (``None`` keeps everything).  Recency is file mtime,
             refreshed on every hit.
-        durable: fsync every entry write.  Off by default — the engine
-            makes a run's entries durable in one :meth:`sync` at the
-            end instead of thousands of per-entry syncs.
+        durable: fsync every entry write.  Off by default — a run
+            makes its entries durable in one :meth:`sync` at the end
+            instead of thousands of per-entry syncs.
         obs: observability handle for ``cache.disk.*`` spans; counters
             live in the owning :class:`ResultCache` (``cache.<name>.
             disk.{hits,misses,corrupt,evictions}``).

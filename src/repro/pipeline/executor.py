@@ -1,11 +1,12 @@
-"""Deterministic parallel map over per-record stage work.
+"""Deterministic parallel map over per-record work.
 
-:class:`ParallelExecutor` is the one place the pipeline touches
-concurrency.  It maps a function over items in **deterministic input
-order** regardless of mode, so a pipeline run is bit-identical whether
-it executes serially, on a thread pool, or on a process pool:
+:class:`ParallelExecutor` is the one place curation and evaluation
+touch concurrency.  It maps a function over items in **deterministic
+input order** regardless of mode, so a run is bit-identical whether it
+executes serially, on a thread pool, or on a process pool:
 
-* ``serial``  — a plain loop; the fallback everything degrades to;
+* ``serial``  — a plain loop: what curation and evaluation run when
+  given no executor, and the fallback everything degrades to;
 * ``thread``  — ``ThreadPoolExecutor`` over deterministic-order chunks
   (our per-file work is pure Python, so threads buy safety and overlap
   with any native work rather than raw speedup);
@@ -13,11 +14,12 @@ it executes serially, on a thread pool, or on a process pool:
   functions; anything unpicklable (closures, lambdas) falls back to
   serial instead of failing the run.
 
-Mode and worker count can be forced via ``REPRO_PIPELINE_MODE`` /
-``REPRO_PIPELINE_WORKERS`` for operational tuning without code changes.
+Retry and quarantine are not the executor's business: callers wrap the
+mapped function with a :class:`~repro.resilience.StageShield` and
+settle the results themselves.
 
-When a :class:`~repro.obs.tracing.Tracer` is attached (the staged
-engine does this while a pipeline with observability runs), every pool
+When a :class:`~repro.obs.tracing.Tracer` is attached (:func:`attach_run`
+does this for the length of a curation or evaluation run), every pool
 chunk is wrapped in a ``worker[i]`` span parented under the caller's
 innermost open span.  Thread chunks record straight into the shared
 tracer; process chunks get a picklable :class:`~repro.obs.SpanContext`,
@@ -28,6 +30,7 @@ pool whatever the mode.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -63,20 +66,9 @@ class ParallelExecutor:
         #: True when the last map degraded to serial (pool failure or
         #: unpicklable work in process mode).
         self.fell_back = False
-        #: When set, pool chunks run inside ``worker[i]`` spans (the
-        #: engine attaches the run's tracer for the duration of a run).
+        #: When set, pool chunks run inside ``worker[i]`` spans
+        #: (:func:`attach_run` sets it for the length of a run).
         self.tracer: Optional[Tracer] = None
-        #: When set (a ``repro.resilience.StageShield``, attached by the
-        #: engine per stage), mapped functions are wrapped with retry +
-        #: quarantine guards and the results settled in the parent.
-        self.shield: Optional[Any] = None
-
-    @classmethod
-    def from_env(cls, default_mode: str = "thread") -> "ParallelExecutor":
-        """Build from ``REPRO_PIPELINE_MODE`` / ``REPRO_PIPELINE_WORKERS``."""
-        mode = os.environ.get("REPRO_PIPELINE_MODE", default_mode)
-        workers = os.environ.get("REPRO_PIPELINE_WORKERS")
-        return cls(mode=mode, max_workers=int(workers) if workers else None)
 
     @classmethod
     def serial(cls) -> "ParallelExecutor":
@@ -102,14 +94,10 @@ class ParallelExecutor:
         """
         self.fell_back = False
         items = list(items)
-        shield = self.shield
-        if shield is not None:
-            fn = shield.wrap(fn)
         if self.mode == "serial" or len(items) <= 1:
-            results = [fn(item) for item in items]
-            return shield.settle(results) if shield is not None else results
+            return [fn(item) for item in items]
         try:
-            results = self._pool_map(fn, items)
+            return self._pool_map(fn, items)
         except Exception as exc:
             # Process pools fail on unpicklable work (closures, local
             # functions) in mode-specific ways — PicklingError,
@@ -124,32 +112,7 @@ class ParallelExecutor:
                     exc, (OSError, RuntimeError)):
                 raise
             self.fell_back = True
-            results = [fn(item) for item in items]
-        return shield.settle(results) if shield is not None else results
-
-    def io_map(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> List[Any]:
-        """Order-preserving map for I/O side work (disk-cache probes).
-
-        A thread pool when this executor is parallel, a plain loop
-        otherwise — never the attached shield, tracer, or a process
-        pool: the work is not record computation, so it must not be
-        retried, quarantined, traced as worker spans, or pickled to
-        another process.  Pool failures degrade to the serial loop.
-        """
-        items = list(items)
-        if self.mode == "serial" or len(items) <= 1:
             return [fn(item) for item in items]
-        chunks = self._chunks(items)
-        try:
-            with ThreadPoolExecutor(
-                    max_workers=min(self.max_workers, len(chunks))) as pool:
-                chunk_results = list(pool.map(
-                    lambda chunk: [fn(item) for item in chunk], chunks))
-        except (OSError, RuntimeError):
-            return [fn(item) for item in items]
-        return [result for chunk in chunk_results for result in chunk]
 
     def stream_map(
         self,
@@ -171,10 +134,9 @@ class ParallelExecutor:
         ``fn`` propagate in thread mode; infrastructure failures (pool
         creation, pickling, a broken process pool) flip
         :attr:`fell_back` and the remainder of the stream is computed
-        serially in this process.  The attached :attr:`shield` is *not*
-        honoured — streaming stages do their own guarding — but the
-        attached :attr:`tracer` is: each in-pool item runs inside a
-        ``worker[i]`` span exactly like pooled chunks in :meth:`map`.
+        serially in this process.  The attached :attr:`tracer` is
+        honoured: each in-pool item runs inside a ``worker[i]`` span
+        exactly like pooled chunks in :meth:`map`.
         """
         self.fell_back = False
         iterator = iter(iterable)
@@ -263,19 +225,6 @@ class ParallelExecutor:
         finally:
             pool.shutdown(wait=False)
 
-    def run_serial(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> List[Any]:
-        """A plain in-order loop over ``items`` that still honours the
-        attached shield — the path non-parallel stages use, so trivially
-        cheap stage functions get retry/quarantine protection without
-        pool overhead."""
-        shield = self.shield
-        if shield is not None:
-            fn = shield.wrap(fn)
-        results = [fn(item) for item in items]
-        return shield.settle(results) if shield is not None else results
-
     def _pool_map(
         self, fn: Callable[[Any], Any], items: List[Any]
     ) -> List[Any]:
@@ -310,6 +259,29 @@ class ParallelExecutor:
                 unwrapped.append(results)
             chunk_results = unwrapped
         return [result for chunk in chunk_results for result in chunk]
+
+
+@contextlib.contextmanager
+def attach_run(executor: ParallelExecutor, obs: Any,
+               res: Any) -> Iterator[None]:
+    """Bind one run's observability for the length of the block.
+
+    The executor records ``worker[i]`` spans on ``obs``'s tracer, and a
+    resilience runtime ``res`` that has no handle of its own sends its
+    retry/trip/resume counters to ``obs``'s registry.  Both are
+    restored on exit: executors and runtimes are shared between runs.
+    """
+    previous_tracer = executor.tracer
+    if obs.enabled:
+        executor.tracer = obs.tracer
+    previous_res_obs = res.obs
+    if res.enabled and res.obs is None:
+        res.obs = obs
+    try:
+        yield
+    finally:
+        executor.tracer = previous_tracer
+        res.obs = previous_res_obs
 
 
 def _run_chunk(payload: tuple) -> List[Any]:

@@ -1,14 +1,13 @@
 """Per-stage instrumentation: where records die and where time goes.
 
-Every engine run produces a :class:`PipelineTrace` — one
-:class:`StageMetrics` per stage with wall time, in/out counts, a
+Every curation and evaluation run produces a :class:`PipelineTrace` —
+one :class:`StageMetrics` per stage with wall time, in/out counts, a
 drop-reason histogram, and cache hit/miss deltas.  Traces serialise to
 JSON (`to_json` / `from_json` round-trip) so a curation or eval run can
 be diffed between PRs.
 
-Since the unified observability layer landed, the registry is the
-source of record: the engine folds every finished trace into it
-(:meth:`repro.obs.Observability.publish_trace`), and
+The registry is the source of record: every run folds its finished
+trace into it (:meth:`repro.obs.Observability.publish_trace`), and
 :meth:`PipelineTrace.from_registry` reconstructs the legacy document —
 byte-for-byte, golden-tested — from registry gauges and annotations
 alone.  The classes below follow the shared
@@ -136,7 +135,7 @@ class PipelineTrace:
                       pipeline: str) -> "PipelineTrace":
         """Rebuild the latest run's trace from the registry alone.
 
-        The engine publishes every finished trace via
+        Every run publishes its finished trace via
         :meth:`repro.obs.Observability.publish_trace`; this is the
         inverse view.  Gauges store values uncoerced and annotations
         hold the dict-shaped parts, so the reconstruction is

@@ -1,4 +1,4 @@
-"""Crash-safe progress journaling for staged pipeline runs.
+"""Crash-safe progress journaling for curation and evaluation runs.
 
 A :class:`Checkpointer` owns a directory of journal entries, one file
 per committed unit of work (``journal-000042.ckpt``).  Each entry is a
@@ -6,15 +6,16 @@ pickled payload prefixed with its blake2b digest and written via
 :func:`~.atomic.atomic_write_bytes`, so a kill at any instant leaves
 either a fully verifiable entry or no entry at all — never a torn one.
 
-The engine journals at *batch* granularity: a per-record stage commits
-every ``interval`` records, a batch stage commits once.  On resume the
-engine replays journaled batches instead of recomputing them, then
-continues live from the first uncommitted batch — which is what makes
-a killed run byte-identical to an uninterrupted one.
+Runs journal at *batch* granularity: curation commits each batch of
+source records per phase, evaluation each batch of ``interval``
+problems.  On resume a run replays the contiguous prefix of journaled
+batches instead of recomputing them, then continues live from the
+first uncommitted batch — which is what makes a killed run
+byte-identical to an uninterrupted one.
 
 A journal is bound to a *run signature* (:func:`run_signature`, a
-digest of the input records, the stage list, and any extra parameters
-such as seeds).  ``begin()`` with a different signature wipes the stale
+digest of the inputs, the stage list, and any extra parameters such as
+seeds).  ``begin()`` with a different signature wipes the stale
 journal rather than resuming someone else's run.
 """
 

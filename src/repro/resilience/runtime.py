@@ -328,8 +328,8 @@ class Resilience:
         fault_plan: deterministic fault schedule (tests and drills);
             ``None`` injects nothing.
         obs: observability handle retry/trip/resume counters flow into.
-            The pipeline engine binds its own handle for the duration
-            of a run when none was given here.
+            Curation and evaluation bind their own handle for the
+            duration of a run when none was given here.
         sleep: backoff clock, injectable so tests never really sleep.
     """
 
@@ -493,7 +493,7 @@ class Resilience:
             return sum(self._quarantines.values())
 
     def summary(self) -> Dict[str, Any]:
-        """The compact dict the engine folds into trace metadata."""
+        """The compact dict a run folds into its trace metadata."""
         with self._lock:
             return {
                 "retries": sum(self._retries.values()),

@@ -52,7 +52,7 @@ class JobContext:
         fault_plan: deterministic fault schedule injected into every
             job's resilience runtime (drills; ``None`` in production).
         executor: intra-job fan-out for curation/eval stages; ``None``
-            keeps each subsystem's default.
+            runs them serially.
         durable: fsync job checkpoints (matches the queue's setting).
     """
 

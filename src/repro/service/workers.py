@@ -18,7 +18,8 @@ makes the re-run resume byte-identical.
 Two draining modes:
 
 * :meth:`WorkerPool.run_pending` — synchronous batch drain through
-  :meth:`ParallelExecutor.map` (tests, embedded callers);
+  :meth:`ParallelExecutor.map`, wrapped and settled by the shield
+  (tests, embedded callers);
 * :meth:`WorkerPool.start` / :meth:`WorkerPool.stop` — long-running
   named worker threads for the HTTP service; ``stop()`` is graceful,
   letting each worker finish its in-flight job before exiting.
@@ -96,7 +97,7 @@ class WorkerPool:
         """Drain queued jobs now; returns how many were executed.
 
         Claims up to ``n_workers`` jobs at a time and maps the batch
-        through the executor with the shield attached — quarantined
+        through the executor behind the shield — quarantined
         jobs are failed into the queue, the rest committed, and the
         next batch claimed, until the queue is empty (or ``max_jobs``
         is reached).
@@ -115,11 +116,11 @@ class WorkerPool:
             if not batch:
                 break
             shield = self.resilience.shield(JOB_SITE, mode="thread")
-            self.executor.shield = shield
-            try:
+            if shield is None:
                 outcomes = self.executor.map(self._run_handler, batch)
-            finally:
-                self.executor.shield = None
+            else:
+                outcomes = shield.settle(self.executor.map(
+                    shield.wrap(self._run_handler), batch))
             for job, outcome in zip(batch, outcomes):
                 self._commit(job, outcome)
             executed += len(batch)

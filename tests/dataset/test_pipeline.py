@@ -30,8 +30,8 @@ from repro.pipeline import ParallelExecutor
 
 def _legacy_curate(raw_files, seed):
     """The seed implementation: one monolithic loop over the legacy
-    filter funnel.  Kept here as the golden reference the staged
-    engine must reproduce byte for byte."""
+    filter funnel.  Kept here as the golden reference the curation
+    dataflow must reproduce byte for byte."""
     contents = [f.content for f in raw_files]
     provenance = [
         {"origin": f.origin, "path": f.path, "description": None}
@@ -140,8 +140,9 @@ class TestPipeline:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("mode", ["serial", "thread"])
     def test_golden_equivalence_with_seed_implementation(self, seed, mode):
-        """The staged engine reproduces the monolithic seed pipeline
-        exactly: same entries (ids, codes, labels), same funnel."""
+        """The curation dataflow reproduces the monolithic seed
+        pipeline exactly: same entries (ids, codes, labels), same
+        funnel."""
         raw_files = GitHubScrapeSimulator(seed=seed).scrape(150)
         ref_dataset, ref_funnel, ref_layers = _legacy_curate(raw_files, seed)
         result = CurationPipeline(

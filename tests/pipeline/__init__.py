@@ -1,1 +1,1 @@
-"""Tests for the staged pipeline engine."""
+"""Tests for the execution primitives: executor, caches, traces."""

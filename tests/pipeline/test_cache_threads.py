@@ -87,7 +87,7 @@ class TestRegistryDelegation:
             "eval": {"hits": 1, "misses": 2}}
 
     def test_null_registry_falls_back_to_private_counters(self):
-        # A noop registry would swallow the counts the engine trace
+        # A noop registry would swallow the counts a run's trace
         # needs; the cache must keep counting privately.
         cache = ResultCache(name="c", registry=NullRegistry())
         cache.get_or_compute("ns", "x", lambda: 1)

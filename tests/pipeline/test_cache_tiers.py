@@ -10,7 +10,6 @@ puts write through, and the disk counters surface in shared registries.
 
 from repro.obs import MetricRegistry, Observability
 from repro.pipeline import DiskCache, ResultCache, content_key
-from repro.pipeline.executor import ParallelExecutor
 
 
 class TestMemoryLRU:
@@ -34,15 +33,6 @@ class TestMemoryLRU:
         cache.put("a", 10)
         cache.put("c", 3)
         assert cache.get("a") == 10
-        assert cache.get("b", "evicted") == "evicted"
-
-    def test_get_many_refreshes_recency(self):
-        cache = ResultCache(max_entries=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get_many(["a"]) == [1]
-        cache.put("c", 3)
-        assert cache.get("a") == 1
         assert cache.get("b", "evicted") == "evicted"
 
 
@@ -120,30 +110,6 @@ class TestDiskTier:
         # The recomputed value was written through and is healthy again.
         third = ResultCache(disk=DiskCache(tmp_path))
         assert third.get(key) == "recomputed"
-
-    def test_get_many_mixed_tiers(self, tmp_path):
-        seed = ResultCache(disk=DiskCache(tmp_path))
-        seed.put("on-disk", "d")
-        cache = ResultCache(disk=DiskCache(tmp_path))
-        cache.put("in-memory", "m")
-        got = cache.get_many(["in-memory", "on-disk", "absent"],
-                             default="?")
-        assert got == ["m", "d", "?"]
-        stats = cache.stats()
-        assert stats["disk"]["hits"] == 1
-        assert stats["disk"]["misses"] == 1
-
-    def test_get_many_with_io_mapper(self, tmp_path):
-        seed = ResultCache(disk=DiskCache(tmp_path))
-        for i in range(8):
-            seed.put(f"k{i}", i)
-        cache = ResultCache(disk=DiskCache(tmp_path))
-        executor = ParallelExecutor(mode="thread", max_workers=4)
-        keys = [f"k{i}" for i in range(8)] + ["absent"]
-        assert (cache.get_many(keys, default=None,
-                               mapper=executor.io_map)
-                == list(range(8)) + [None])
-        assert cache.stats()["disk"]["hits"] == 8
 
     def test_eviction_counter_reports_sweeps(self, tmp_path):
         cache = ResultCache(

@@ -1,4 +1,4 @@
-"""ParallelExecutor.stream_map and io_map under every backend.
+"""ParallelExecutor.stream_map under every backend.
 
 stream_map is the spine of the streaming curate path: it must preserve
 input order, keep a bounded look-ahead (never materialise the source),
@@ -102,28 +102,3 @@ class TestStreamMapTracing:
         names = [span["name"] for span in tracer.export()]
         workers = [name for name in names if name.startswith("worker[")]
         assert len(workers) == 6
-
-
-class TestIoMap:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_order_preserved(self, mode):
-        """io_map must give ordered results under every backend — the
-        process executor routes it through threads (cache probes must
-        not be pickled to another process)."""
-        executor = ParallelExecutor(mode=mode, max_workers=3)
-        out = executor.io_map(_square, list(range(50)))
-        assert out == [x * x for x in range(50)]
-
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_errors_propagate(self, mode):
-        executor = ParallelExecutor(mode=mode, max_workers=2)
-        with pytest.raises(ValueError, match="seven"):
-            executor.io_map(_boom_on_seven, list(range(10)))
-
-    def test_closures_work_under_process_mode(self):
-        """Unlike map(), io_map never pickles the function, so local
-        closures survive a process-mode executor without fallback."""
-        executor = ParallelExecutor(mode="process", max_workers=2)
-        offset = 100
-        out = executor.io_map(lambda x: x + offset, list(range(10)))
-        assert out == [x + 100 for x in range(10)]

@@ -35,17 +35,23 @@ def poison(value):
 
 
 def shielded(mode, **kwargs):
+    """An executor, its runtime, and a map behind the runtime's shield:
+    wrap the function, map it, settle the results in the parent."""
     executor = ParallelExecutor(mode=mode, **kwargs)
     res = Resilience(retry=FAST_RETRY)
-    executor.shield = res.shield("stage.poison", mode=executor.mode)
-    return executor, res
+    shield = res.shield("stage.poison", mode=executor.mode)
+
+    def guarded_map(fn, items):
+        return shield.settle(executor.map(shield.wrap(fn), items))
+
+    return executor, res, guarded_map
 
 
 @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
 class TestQuarantineAcrossModes:
     def test_poisoned_record_is_quarantined_not_fatal(self, mode):
-        executor, res = shielded(mode, max_workers=2, chunk_size=2)
-        results = executor.map(poison, list(range(6)))
+        _, res, guarded_map = shielded(mode, max_workers=2, chunk_size=2)
+        results = guarded_map(poison, list(range(6)))
 
         assert len(results) == 6
         marker = results[3]
@@ -58,8 +64,8 @@ class TestQuarantineAcrossModes:
         assert clean == [0, 2, 4, 8, 10]
 
     def test_dead_letter_has_the_details(self, mode):
-        executor, res = shielded(mode, max_workers=2, chunk_size=2)
-        executor.map(poison, list(range(6)))
+        _, res, guarded_map = shielded(mode, max_workers=2, chunk_size=2)
+        guarded_map(poison, list(range(6)))
 
         assert res.total_quarantined == 1
         assert res.quarantined_for("stage.poison") == 1
@@ -80,8 +86,9 @@ class TestProcessModeSpecifics:
             pickle.loads(blob)
 
     def test_process_pool_survives_unpicklable_exception(self):
-        executor, res = shielded("process", max_workers=2, chunk_size=3)
-        results = executor.map(poison, list(range(8)))
+        executor, res, guarded_map = shielded("process", max_workers=2,
+                                              chunk_size=3)
+        results = guarded_map(poison, list(range(8)))
 
         # The guard converted the failure in the worker, so the pool's
         # result channel only ever carried plain picklable markers.
@@ -92,8 +99,9 @@ class TestProcessModeSpecifics:
     def test_retry_counting_crosses_the_pool_boundary(self):
         # flaky_once fails on its first call per worker invocation; the
         # in-worker retry absorbs it and the parent still sees the tally.
-        executor, res = shielded("process", max_workers=2, chunk_size=4)
-        results = executor.map(flaky_by_value, [1, 2, 3, 4])
+        _, res, guarded_map = shielded("process", max_workers=2,
+                                       chunk_size=4)
+        results = guarded_map(flaky_by_value, [1, 2, 3, 4])
         assert results == [1, 2, 3, 4]
         assert res.total_quarantined == 0
         assert res.retries_for("stage.poison") == 1
