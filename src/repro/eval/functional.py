@@ -10,7 +10,13 @@ the golden Python model after each vector/cycle.
 Failure taxonomy mirrors what an EDA flow reports: parse errors,
 elaboration errors, interface mismatches (missing/mis-sized ports),
 runtime errors (combinational loops, unsupported constructs), X-valued
-outputs, and plain mismatches.
+outputs, and plain mismatches.  A candidate whose execution runs out
+of the simulator's step budget (a runaway loop or recursion, while it
+is built, during a vector, or in a constant function folded into a
+parameter) fails as ``budget``: each entry into the simulator (its
+construction, every poke and every clock edge) gets a fresh
+``STEP_BUDGET`` of steps, so a test's allowance grows with its vector
+count and a runaway stops after a bounded number of steps.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from ..verilog.frontend import join_scope
 from ..verilog.parser import parse
 from ..verilog.preprocessor import PreprocessorError
 from ..verilog.sim.eval import EvalError
+from ..verilog.sim.interp import StepBudgetExceeded
 from ..verilog.sim.values import Vec4
 
 
@@ -254,6 +261,10 @@ def _run_functional_test(source: str, spec: DesignSpec, n_vectors: int,
         outcome.failure_kind = "parse"
         outcome.detail = str(exc)
         return outcome
+    except StepBudgetExceeded as exc:
+        outcome.failure_kind = "budget"
+        outcome.detail = str(exc)
+        return outcome
     except (ElaborationError, SimulationError, EvalError) as exc:
         outcome.failure_kind = "elaborate"
         outcome.detail = str(exc)
@@ -271,6 +282,10 @@ def _run_functional_test(source: str, spec: DesignSpec, n_vectors: int,
         else:
             _run_combinational(sim, spec, rng, n_vectors, max_mismatches,
                                outcome)
+    except StepBudgetExceeded as exc:
+        outcome.failure_kind = "budget"
+        outcome.detail = str(exc)
+        return outcome
     except (SimulationError, StopSimulation, EvalError) as exc:
         outcome.failure_kind = "runtime"
         outcome.detail = str(exc)

@@ -179,6 +179,12 @@ def _model_label(model: FineTunable, config: EvalConfig) -> str:
     )
 
 
+#: Bump when the functional test's answers change (simulation or
+#: grading semantics); a persistent outcome cache written before then
+#: misses instead of serving stale outcomes.
+OUTCOME_SCHEMA = "pyranet/functional-outcome/v2"
+
+
 def _sample_outcomes(
     model: FineTunable, problem: EvalProblem, problem_index: int,
     config: EvalConfig, cache: ResultCache,
@@ -193,7 +199,8 @@ def _sample_outcomes(
     simulation cost a lot without changing any outcome.
     """
     n_vectors = config.n_test_vectors
-    namespace = f"functional/{problem.problem_id}/{n_vectors}"
+    namespace = (f"functional/{OUTCOME_SCHEMA}/{problem.problem_id}/"
+                 f"{n_vectors}")
     for s_index in range(config.n_samples):
         rng = random.Random(sample_seed(config.seed, problem_index,
                                         s_index))

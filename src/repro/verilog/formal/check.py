@@ -42,14 +42,16 @@ from ..sim.design import (
     TimedAlwaysProcess,
 )
 from ..sim.runtime import build_library
-from ..sim.elaborate import elaborate
+from ..sim.elaborate import (
+    collect_lvalue_index_reads,
+    collect_reads,
+    elaborate,
+)
 from .bdd import FALSE, TRUE, BDDBudgetError, BDDManager, DEFAULT_NODE_BUDGET
 from .sym import (
     FormalUnsupported,
     SymVec,
     SymbolicContext,
-    collect_lvalue_index_reads,
-    collect_reads,
     collect_writes,
 )
 
@@ -277,7 +279,7 @@ class DesignModel:
             target, value = proc.assign
             collect_reads(value, proc.scope, reads)
             collect_lvalue_index_reads(
-                target, proc.target_scope or proc.scope, reads, set())
+                target, proc.target_scope or proc.scope, reads)
         else:
             collect_reads(proc.body, proc.scope, reads)
         return reads

@@ -51,8 +51,8 @@ from ..sim.values import Vec4
 from .bdd import FALSE, TRUE, BDDBudgetError, BDDManager
 
 #: Concrete-loop unroll cap; far above anything in the corpus subset,
-#: far below the simulator's MAX_LOOP_ITERATIONS so formal checks stay
-#: cheap enough for curation.
+#: far below the simulator's STEP_BUDGET so formal checks stay cheap
+#: enough for curation.
 MAX_UNROLL = 10_000
 
 
@@ -981,80 +981,6 @@ class SymbolicContext:
         self._write(ops, value, blocking=True)
 
 
-def collect_reads(node, scope: Scope, reads: Set[str],
-                  seen_functions: Optional[Set[str]] = None) -> None:
-    """Over-approximate flat signal names read by an AST subtree.
-
-    Used to order combinational processes; includes the bodies of any
-    user functions referenced (their global reads matter).
-    """
-    if seen_functions is None:
-        seen_functions = set()
-    if node is None:
-        return
-    if isinstance(node, ast.Identifier):
-        binding = scope.lookup(node.name)
-        if isinstance(binding, SignalBinding):
-            reads.add(binding.signal.name)
-        return
-    if isinstance(node, ast.FunctionCall):
-        for arg in node.args:
-            collect_reads(arg, scope, reads, seen_functions)
-        binding = scope.lookup_function(node.name)
-        if binding is not None and node.name not in seen_functions:
-            seen_functions.add(node.name)
-            collect_reads(binding.decl.body, binding.scope, reads,
-                          seen_functions)
-        return
-    if isinstance(node, ast.Stmt):
-        if isinstance(node, ast.Assign):
-            # The written identifier is not a read, but lvalue indexes are.
-            collect_lvalue_index_reads(node.target, scope, reads,
-                                       seen_functions)
-            collect_reads(node.value, scope, reads, seen_functions)
-            return
-        if isinstance(node, ast.Block):
-            for inner in node.stmts:
-                collect_reads(inner, scope, reads, seen_functions)
-            return
-        if isinstance(node, ast.Case):
-            collect_reads(node.subject, scope, reads, seen_functions)
-            for item in node.items:
-                for expr in item.exprs:
-                    collect_reads(expr, scope, reads, seen_functions)
-                collect_reads(item.body, scope, reads, seen_functions)
-            return
-        for name in ("cond", "then_stmt", "else_stmt", "init", "step",
-                     "body", "count", "stmt", "amount"):
-            collect_reads(getattr(node, name, None), scope, reads,
-                          seen_functions)
-        for expr in getattr(node, "args", ()):
-            collect_reads(expr, scope, reads, seen_functions)
-        return
-    if isinstance(node, ast.Expr):
-        for name in ("base", "left", "right", "cond", "if_true", "if_false",
-                     "operand", "count", "value"):
-            collect_reads(getattr(node, name, None), scope, reads,
-                          seen_functions)
-        for part in getattr(node, "parts", ()):
-            if isinstance(part, ast.Expr):
-                collect_reads(part, scope, reads, seen_functions)
-        for arg in getattr(node, "args", ()):
-            collect_reads(arg, scope, reads, seen_functions)
-
-
-def collect_lvalue_index_reads(target, scope: Scope, reads: Set[str],
-                               seen_functions: Set[str]) -> None:
-    if isinstance(target, ast.Concat):
-        for part in target.parts:
-            collect_lvalue_index_reads(part, scope, reads, seen_functions)
-        return
-    if isinstance(target, ast.Select):
-        collect_reads(target.left, scope, reads, seen_functions)
-        collect_reads(target.right, scope, reads, seen_functions)
-        collect_lvalue_index_reads(target.base, scope, reads, seen_functions)
-
-
 def collect_writes(node, scope: Scope, writes: Set[str]) -> None:
     """Over-approximate flat signal names written by a statement tree."""
     if node is None:
@@ -1101,6 +1027,5 @@ __all__ = [
     "MAX_UNROLL",
     "SymVec",
     "SymbolicContext",
-    "collect_reads",
     "collect_writes",
 ]

@@ -54,7 +54,7 @@ from .sim.runtime import build_library
 
 #: Bump when Design layout or elaboration semantics change; stale
 #: persistent entries then miss instead of deserialising garbage.
-MEMO_SCHEMA = "pyranet/front-end-memo/v1"
+MEMO_SCHEMA = "pyranet/front-end-memo/v2"
 
 _DESIGN_NAMESPACE = "verilog/design"
 

@@ -370,9 +370,10 @@ class Elaborator:
         value_scope: Scope,
         line: int,
     ) -> None:
-        sensitivity = collect_read_signals_expr(value, value_scope)
+        sensitivity: Set[str] = set()
+        collect_reads(value, value_scope, sensitivity)
         # Index expressions inside the target are also reads.
-        sensitivity |= collect_lvalue_index_reads(target, target_scope)
+        collect_lvalue_index_reads(target, target_scope, sensitivity)
         self._design.processes.append(
             CombProcess(
                 scope=value_scope,
@@ -393,7 +394,8 @@ class Elaborator:
             )
             return
         if sens.star:
-            reads = collect_read_signals_stmt(item.body, scope)
+            reads: Set[str] = set()
+            collect_reads(item.body, scope, reads)
             self._design.processes.append(
                 CombProcess(
                     scope=scope, body=item.body,
@@ -432,7 +434,7 @@ class Elaborator:
             return
         names: Set[str] = set()
         for entry in levels:
-            names |= collect_read_signals_expr(entry.expr, scope)
+            collect_reads(entry.expr, scope, names)
         self._design.processes.append(
             CombProcess(
                 scope=scope, body=item.body,
@@ -538,7 +540,7 @@ class Elaborator:
                     )
                 # Value is the child port, read in the child scope.
                 sensitivity = {port_signals[port.name].name}
-                sensitivity |= collect_lvalue_index_reads(expr, scope)
+                collect_lvalue_index_reads(expr, scope, sensitivity)
                 self._design.processes.append(
                     CombProcess(
                         scope=child_scope,
@@ -683,133 +685,106 @@ def _is_lvalue(expr: ast.Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def collect_read_signals_expr(
-    expr: Optional[ast.Expr], scope: Scope, _depth: int = 0
-) -> Set[str]:
-    """Flat names of every signal read by ``expr``."""
-    reads: Set[str] = set()
-    if expr is None or _depth > 64:
-        return reads
-    if isinstance(expr, ast.Identifier):
-        binding = scope.lookup(expr.name)
+def collect_reads(node, scope: Scope, reads: Set[str],
+                  _seen: Optional[Set[int]] = None) -> None:
+    """Add to ``reads`` the flat name of every signal that ``node`` (an
+    expression or a statement) may read, the bodies of the user
+    functions it calls included, each walked once.
+
+    The sensitivity of continuous assigns and ``always @*`` blocks, and
+    the formal checker's process order.  The walk recurses once per
+    tree level (the expression compiler twice), so it needs no depth
+    cap: whatever the simulator compiles, it walks whole.
+    """
+    if node is None:
+        return
+    if _seen is None:
+        _seen = set()
+    if isinstance(node, ast.Identifier):
+        binding = scope.lookup(node.name)
         if isinstance(binding, SignalBinding):
             reads.add(binding.signal.name)
-        return reads
-    if isinstance(expr, ast.Select):
-        reads |= collect_read_signals_expr(expr.base, scope, _depth + 1)
-        reads |= collect_read_signals_expr(expr.left, scope, _depth + 1)
-        reads |= collect_read_signals_expr(expr.right, scope, _depth + 1)
-        return reads
-    if isinstance(expr, ast.Concat):
-        for part in expr.parts:
-            reads |= collect_read_signals_expr(part, scope, _depth + 1)
-        return reads
-    if isinstance(expr, ast.Replicate):
-        reads |= collect_read_signals_expr(expr.count, scope, _depth + 1)
-        reads |= collect_read_signals_expr(expr.value, scope, _depth + 1)
-        return reads
-    if isinstance(expr, ast.Unary):
-        return collect_read_signals_expr(expr.operand, scope, _depth + 1)
-    if isinstance(expr, ast.Binary):
-        reads |= collect_read_signals_expr(expr.left, scope, _depth + 1)
-        reads |= collect_read_signals_expr(expr.right, scope, _depth + 1)
-        return reads
-    if isinstance(expr, ast.Ternary):
-        reads |= collect_read_signals_expr(expr.cond, scope, _depth + 1)
-        reads |= collect_read_signals_expr(expr.if_true, scope, _depth + 1)
-        reads |= collect_read_signals_expr(expr.if_false, scope, _depth + 1)
-        return reads
-    if isinstance(expr, ast.FunctionCall):
-        for arg in expr.args:
-            reads |= collect_read_signals_expr(arg, scope, _depth + 1)
-        binding = scope.lookup(expr.name)
-        if isinstance(binding, FuncBinding) and _depth < 8:
-            reads |= collect_read_signals_stmt(
-                binding.decl.body, binding.scope, _depth + 1
-            )
-        return reads
-    if isinstance(expr, ast.SystemCall):
-        for arg in expr.args:
-            reads |= collect_read_signals_expr(arg, scope, _depth + 1)
-        return reads
-    return reads
-
-
-def collect_lvalue_index_reads(expr: Optional[ast.Expr], scope: Scope) -> Set[str]:
-    """Signals read by index expressions inside an lvalue."""
-    reads: Set[str] = set()
-    if expr is None:
-        return reads
-    if isinstance(expr, ast.Select):
-        reads |= collect_lvalue_index_reads(expr.base, scope)
-        reads |= collect_read_signals_expr(expr.left, scope)
-        reads |= collect_read_signals_expr(expr.right, scope)
-        return reads
-    if isinstance(expr, ast.Concat):
-        for part in expr.parts:
-            reads |= collect_lvalue_index_reads(part, scope)
-        return reads
-    return reads
-
-
-def collect_read_signals_stmt(
-    stmt: Optional[ast.Stmt], scope: Scope, _depth: int = 0
-) -> Set[str]:
-    """Flat names of every signal read by ``stmt`` (for @* sensitivity)."""
-    reads: Set[str] = set()
-    if stmt is None or _depth > 64:
-        return reads
-    if isinstance(stmt, ast.Block):
-        for inner in stmt.stmts:
-            reads |= collect_read_signals_stmt(inner, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, ast.Assign):
-        reads |= collect_read_signals_expr(stmt.value, scope, _depth)
-        reads |= collect_lvalue_index_reads(stmt.target, scope)
-        return reads
-    if isinstance(stmt, ast.If):
-        reads |= collect_read_signals_expr(stmt.cond, scope, _depth)
-        reads |= collect_read_signals_stmt(stmt.then_stmt, scope, _depth + 1)
-        reads |= collect_read_signals_stmt(stmt.else_stmt, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, ast.Case):
-        reads |= collect_read_signals_expr(stmt.subject, scope, _depth)
-        for item in stmt.items:
+    elif isinstance(node, ast.Binary):
+        collect_reads(node.left, scope, reads, _seen)
+        collect_reads(node.right, scope, reads, _seen)
+    elif isinstance(node, ast.Select):
+        collect_reads(node.base, scope, reads, _seen)
+        collect_reads(node.left, scope, reads, _seen)
+        collect_reads(node.right, scope, reads, _seen)
+    elif isinstance(node, ast.Unary):
+        collect_reads(node.operand, scope, reads, _seen)
+    elif isinstance(node, ast.Ternary):
+        collect_reads(node.cond, scope, reads, _seen)
+        collect_reads(node.if_true, scope, reads, _seen)
+        collect_reads(node.if_false, scope, reads, _seen)
+    elif isinstance(node, ast.Concat):
+        for part in node.parts:
+            collect_reads(part, scope, reads, _seen)
+    elif isinstance(node, ast.Replicate):
+        collect_reads(node.count, scope, reads, _seen)
+        collect_reads(node.value, scope, reads, _seen)
+    elif isinstance(node, ast.FunctionCall):
+        for arg in node.args:
+            collect_reads(arg, scope, reads, _seen)
+        binding = scope.lookup_function(node.name)
+        if binding is not None and id(binding) not in _seen:
+            _seen.add(id(binding))
+            collect_reads(binding.decl.body, binding.scope, reads, _seen)
+    elif isinstance(node, (ast.SystemCall, ast.SystemTaskCall,
+                           ast.TaskCall)):
+        for arg in node.args:
+            collect_reads(arg, scope, reads, _seen)
+    elif isinstance(node, ast.Assign):
+        collect_lvalue_index_reads(node.target, scope, reads, _seen)
+        collect_reads(node.value, scope, reads, _seen)
+    elif isinstance(node, ast.Block):
+        for inner in node.stmts:
+            collect_reads(inner, scope, reads, _seen)
+    elif isinstance(node, ast.If):
+        collect_reads(node.cond, scope, reads, _seen)
+        collect_reads(node.then_stmt, scope, reads, _seen)
+        collect_reads(node.else_stmt, scope, reads, _seen)
+    elif isinstance(node, ast.Case):
+        collect_reads(node.subject, scope, reads, _seen)
+        for item in node.items:
             for expr in item.exprs:
-                reads |= collect_read_signals_expr(expr, scope, _depth)
-            reads |= collect_read_signals_stmt(item.body, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, ast.For):
-        reads |= collect_read_signals_stmt(stmt.init, scope, _depth + 1)
-        reads |= collect_read_signals_expr(stmt.cond, scope, _depth)
-        reads |= collect_read_signals_stmt(stmt.step, scope, _depth + 1)
-        reads |= collect_read_signals_stmt(stmt.body, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, ast.While):
-        reads |= collect_read_signals_expr(stmt.cond, scope, _depth)
-        reads |= collect_read_signals_stmt(stmt.body, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, ast.Repeat):
-        reads |= collect_read_signals_expr(stmt.count, scope, _depth)
-        reads |= collect_read_signals_stmt(stmt.body, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, (ast.Forever,)):
-        return collect_read_signals_stmt(stmt.body, scope, _depth + 1)
-    if isinstance(stmt, ast.Delay):
-        reads |= collect_read_signals_stmt(stmt.stmt, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, ast.EventControl):
-        reads |= collect_read_signals_stmt(stmt.stmt, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, ast.Wait):
-        reads |= collect_read_signals_expr(stmt.cond, scope, _depth)
-        reads |= collect_read_signals_stmt(stmt.stmt, scope, _depth + 1)
-        return reads
-    if isinstance(stmt, (ast.SystemTaskCall, ast.TaskCall)):
-        for arg in stmt.args:
-            reads |= collect_read_signals_expr(arg, scope, _depth)
-        return reads
-    return reads
+                collect_reads(expr, scope, reads, _seen)
+            collect_reads(item.body, scope, reads, _seen)
+    elif isinstance(node, ast.For):
+        collect_reads(node.init, scope, reads, _seen)
+        collect_reads(node.cond, scope, reads, _seen)
+        collect_reads(node.step, scope, reads, _seen)
+        collect_reads(node.body, scope, reads, _seen)
+    elif isinstance(node, ast.While):
+        collect_reads(node.cond, scope, reads, _seen)
+        collect_reads(node.body, scope, reads, _seen)
+    elif isinstance(node, ast.Repeat):
+        collect_reads(node.count, scope, reads, _seen)
+        collect_reads(node.body, scope, reads, _seen)
+    elif isinstance(node, ast.Forever):
+        collect_reads(node.body, scope, reads, _seen)
+    elif isinstance(node, ast.Delay):
+        collect_reads(node.amount, scope, reads, _seen)
+        collect_reads(node.stmt, scope, reads, _seen)
+    elif isinstance(node, ast.EventControl):
+        collect_reads(node.stmt, scope, reads, _seen)
+    elif isinstance(node, ast.Wait):
+        collect_reads(node.cond, scope, reads, _seen)
+        collect_reads(node.stmt, scope, reads, _seen)
+
+
+def collect_lvalue_index_reads(target: Optional[ast.Expr], scope: Scope,
+                               reads: Set[str],
+                               _seen: Optional[Set[int]] = None) -> None:
+    """Add to ``reads`` the signals read by index expressions inside the
+    lvalue ``target`` (the signals it writes are not reads)."""
+    if isinstance(target, ast.Concat):
+        for part in target.parts:
+            collect_lvalue_index_reads(part, scope, reads, _seen)
+    elif isinstance(target, ast.Select):
+        collect_lvalue_index_reads(target.base, scope, reads, _seen)
+        collect_reads(target.left, scope, reads, _seen)
+        collect_reads(target.right, scope, reads, _seen)
 
 
 def elaborate(

@@ -1,9 +1,9 @@
 """Procedural statements, lvalues and user functions, compiled.
 
 A :class:`Compiler` turns statements into closures ``fn(frame)``.  The
-frame's slot 0 is the *machine* charged for the work: the simulation
-kernel for module code, a :class:`_Call` (one per function call, with
-its own budget, chained to its caller's) inside functions; the other
+frame's slot 0 is the *machine* charged for the work: the kernel's
+:class:`StepBudget` for module code, a :class:`_Call` (one per function
+call: its depth, charging the same budget) inside functions; the other
 slots hold the running function's local variables.
 
 Processes that may not suspend (continuous logic, edge-triggered
@@ -15,8 +15,13 @@ only for statements that contain ``#``, ``@`` or ``wait``; the rest of
 a thread runs as plain closures.
 
 Every statement executed charges one step, and every loop iteration
-one more; a loop stops at ``MAX_LOOP_ITERATIONS``.  A function call
-gets ``FUNCTION_BUDGET`` steps, charged to its caller as well.
+one more (a run of empty statements charges its length at once).  All
+of it is charged to one :class:`StepBudget` of ``STEP_BUDGET`` steps per
+entry into Verilog execution: building a simulator, one ``settle`` of
+the kernel (a poke or a clock edge), one ``run``, or one function call
+in a constant context.  Running out raises :class:`StepBudgetExceeded`,
+so a runaway loop or recursion fails after a bounded number of steps
+wherever it runs.
 """
 
 from __future__ import annotations
@@ -48,6 +53,10 @@ from .values import Vec4
 class SimulationError(Exception):
     """Raised for runtime semantic errors (x index writes aside) and
     exceeded execution budgets."""
+
+
+class StepBudgetExceeded(SimulationError):
+    """An entry into Verilog execution ran out of its step budget."""
 
 
 class StopSimulation(Exception):
@@ -93,14 +102,28 @@ def split_value_for_ops(value: Vec4, ops: Sequence[WriteOp]) -> List[Vec4]:
     return pieces
 
 
-#: Iteration cap for procedural loops.
-MAX_LOOP_ITERATIONS = 1_000_000
-
-#: Steps one function call may execute (its callees' included).
-FUNCTION_BUDGET = 1_000_000
+#: Steps one entry into Verilog execution may take.  No entry of a
+#: non-runaway functional test over the corpus families, their operator
+#: mutants, the eval suites and the Table I grid takes more than 67.
+STEP_BUDGET = 100_000
 
 #: Calls nested deeper than this return all-x instead of running.
 MAX_FUNCTION_DEPTH = 64
+
+
+class StepBudget:
+    """The steps left to one entry into Verilog execution."""
+
+    __slots__ = ("left",)
+
+    def __init__(self) -> None:
+        self.left = STEP_BUDGET
+
+    def charge(self, amount: int) -> None:
+        self.left -= amount
+        if self.left <= 0:
+            raise StepBudgetExceeded(
+                f"step budget exceeded ({STEP_BUDGET} steps)")
 
 
 # ---------------------------------------------------------------------------
@@ -283,40 +306,14 @@ def _select_bits(xc: ExprCompiler, expr: ast.Select, signal: Signal,
 
 
 class _Call:
-    """The machine of one function call: its step budget, chained to
-    its caller's (a calling function's, or the kernel's)."""
+    """The machine of one function call: its nesting depth, and the
+    ``charge`` of the budget of the entry that made the call."""
 
-    __slots__ = ("budget", "parent", "depth")
+    __slots__ = ("charge", "depth")
 
-    def __init__(self, parent, depth: int) -> None:
-        self.budget = FUNCTION_BUDGET
-        self.parent = parent
+    def __init__(self, charge, depth: int) -> None:
+        self.charge = charge
         self.depth = depth
-
-    def charge(self, amount: int) -> None:
-        self.budget -= amount
-        if self.budget <= 0:
-            raise SimulationError("function execution budget exceeded")
-        if self.parent is not None:
-            self.parent.charge(amount)
-
-    def headroom(self) -> int:
-        """Steps left before some budget on the chain runs out."""
-        if self.parent is None:
-            return self.budget
-        return min(self.budget, self.parent.headroom())
-
-
-def charge_run(machine, steps: int) -> None:
-    """``steps`` single-step charges, as one: the budget that runs out
-    does so at the same step, with the same message."""
-    room = machine.headroom()
-    if steps < room:
-        machine.charge(steps)
-        return
-    if room > 1:
-        machine.charge(room - 1)
-    machine.charge(1)
 
 
 class _NotStatic(Exception):
@@ -331,8 +328,8 @@ class _Function:
         self.binding = binding
         self._run = None
 
-    def call(self, args: List[Vec4], parent, depth: int) -> Vec4:
-        """Evaluate a call.
+    def call(self, args: List[Vec4], charge, depth: int) -> Vec4:
+        """Evaluate a call, charging its steps to ``charge``.
 
         Recursion beyond the depth cap returns all-x instead of failing:
         unknown inputs can drive unbounded recursion (``fact(x)``), and in
@@ -342,7 +339,7 @@ class _Function:
         decl = self.binding.decl
         if depth > MAX_FUNCTION_DEPTH:
             return Vec4.all_x(64, decl.signed)
-        call = _Call(parent, depth)
+        call = _Call(charge, depth)
         if len(args) != len(decl.inputs):
             raise SimulationError(
                 f"function {decl.name!r} expects {len(decl.inputs)} args, "
@@ -433,17 +430,13 @@ def _fresh(signal: Signal) -> Callable[[], object]:
     return lambda: value
 
 
-def run_function(
-    binding: FuncBinding,
-    args: List[Vec4],
-    base_store,
-    base_machine=None,
-    depth: int = 0,
-) -> Vec4:
+def run_function(binding: FuncBinding, args: List[Vec4],
+                 base_store) -> Vec4:
     """Evaluate a user function call outside a kernel (constant
-    folding, formal), compiling it for ``base_store``."""
-    return Compiler(base_store).function(binding).call(args, base_machine,
-                                                       depth)
+    folding, formal), compiling it for ``base_store``; the call is an
+    entry of its own, with a fresh step budget."""
+    return Compiler(base_store).function(binding).call(
+        args, StepBudget().charge, 0)
 
 
 def const_function_caller(binding: FuncBinding, args: List[Vec4]) -> Vec4:
@@ -541,7 +534,7 @@ class Compiler:
         call = function.call
 
         def module_call(fr):
-            return call([a(fr) for a in args], fr[0], 0)
+            return call([a(fr) for a in args], fr[0].charge, 0)
         return module_call
 
     def _nested_call(self, binding, args):
@@ -551,7 +544,7 @@ class Compiler:
         def nested_call(fr):
             values = [a(fr) for a in args]
             caller = fr[0]
-            return call(values, caller, caller.depth + 1)
+            return call(values, caller.charge, caller.depth + 1)
         return nested_call
 
     def frame_int(self, expr, scope: Scope, fr) -> int:
@@ -726,9 +719,9 @@ class Compiler:
         return xc.expr(stmt.subject, scope), items, default
 
     def _loop_parts(self, stmt, scope: Scope, env: _Env, compile_):
-        """(init, cond, body, step, cap message) of a ``for``, ``while``
-        or ``forever`` loop; a ``for`` header's assignments are not
-        charged as statements."""
+        """(init, cond, body, step) of a ``for``, ``while`` or
+        ``forever`` loop; a ``for`` header's assignments are not charged
+        as statements."""
         xc = env.xc
         init = step = _noop
         cond = constant(Vec4.from_int(1, 1))
@@ -739,18 +732,12 @@ class Compiler:
                 cond = xc.expr(stmt.cond, scope)
             if stmt.step is not None:
                 step = self._assign(stmt.step, scope, env, False)
-            kind = "for"
         elif isinstance(stmt, ast.While):
             cond = xc.expr(stmt.cond, scope)
-            kind = "while"
-        else:
-            kind = "forever"
-        return (init, cond, compile_(stmt.body, scope, env), step,
-                f"{kind} loop exceeded iteration cap")
+        return init, cond, compile_(stmt.body, scope, env), step
 
     def _loop(self, stmt, scope: Scope, env: _Env, compile_):
-        """A loop: one step per iteration, at most
-        ``MAX_LOOP_ITERATIONS`` iterations (``repeat`` stops there)."""
+        """A loop: one step, and one more per iteration."""
         if isinstance(stmt, ast.Repeat):
             count = env.xc.expr(stmt.count, scope)
             body = compile_(stmt.body, scope, env)
@@ -761,25 +748,20 @@ class Compiler:
                 n = count(fr)
                 if n.xz:
                     return
-                for _ in range(min(n.val, MAX_LOOP_ITERATIONS)):
+                for _ in range(n.val):
                     body(fr)
                     machine.charge(1)
             return repeat
-        init, cond, body, step, cap = self._loop_parts(stmt, scope, env,
-                                                       compile_)
+        init, cond, body, step = self._loop_parts(stmt, scope, env, compile_)
 
         def loop(fr):
             machine = fr[0]
             machine.charge(1)
             init(fr)
-            iterations = 0
             while cond(fr).val:
                 body(fr)
                 step(fr)
-                iterations += 1
                 machine.charge(1)
-                if iterations > MAX_LOOP_ITERATIONS:
-                    raise SimulationError(cap)
         return loop
 
     def _gen_loop(self, stmt, scope: Scope, env: _Env):
@@ -793,24 +775,20 @@ class Compiler:
                 n = count(fr)
                 if n.xz:
                     return
-                for _ in range(min(n.val, MAX_LOOP_ITERATIONS)):
+                for _ in range(n.val):
                     yield from body(fr)
                     fr[0].charge(1)
             return repeat
-        init, cond, body, step, cap = self._loop_parts(stmt, scope, env,
-                                                       self._gen)
+        init, cond, body, step = self._loop_parts(stmt, scope, env,
+                                                  self._gen)
 
         def loop(fr):
             fr[0].charge(1)
             init(fr)
-            iterations = 0
             while cond(fr).val:
                 yield from body(fr)
                 step(fr)
-                iterations += 1
                 fr[0].charge(1)
-                if iterations > MAX_LOOP_ITERATIONS:
-                    raise SimulationError(cap)
         return loop
 
     # -- assignments ---------------------------------------------------------
@@ -1099,9 +1077,7 @@ def _charge_one(fr) -> None:
 
 
 def _charge_steps(steps: int):
-    if steps == 1:
-        return _charge_one
-    return lambda fr: charge_run(fr[0], steps)
+    return lambda fr: fr[0].charge(steps)
 
 
 def _frame_write(fr, ops: Sequence[WriteOp], value: Vec4) -> None:

@@ -5,8 +5,10 @@ memories, net driver contributions) and implements the stratified event
 queue of IEEE 1364: an *active* region of runnable processes, an *NBA*
 region of pending non-blocking updates, and a time wheel of suspended
 threads.  One call to :meth:`settle` drains the current simulation time
-(active → NBA → active …); :meth:`advance` moves time forward to the
-next scheduled thread event.
+(active → NBA → active …); :meth:`run` moves time forward from one
+scheduled thread event to the next.  Each of :meth:`initialize`,
+:meth:`settle` and :meth:`run` is one entry into Verilog execution,
+with a fresh :class:`~.interp.StepBudget`.
 
 Process kinds:
 
@@ -46,8 +48,10 @@ from .design import (
 )
 from .eval import constant
 from .interp import (
+    STEP_BUDGET,
     Compiler,
     SimulationError,
+    StepBudget,
     StopSimulation,
     WriteOp,
     compile_lvalue,
@@ -114,8 +118,6 @@ class Kernel:
         #: threads blocked on @(...) or wait(): thread -> (sens, scope) kind
         self._event_waiters: List[Tuple[_Thread, object, Scope, str]] = []
 
-        self._activation_budget = MAX_ACTIVATIONS_PER_SLOT
-        self._charge_budget = 10_000_000
         #: Index of the always-block comb process currently executing.
         #: Its own blocking writes must not retrigger it (the @* control
         #: re-arms only after the body completes — LRM 9.7.5).
@@ -123,8 +125,11 @@ class Kernel:
 
         self._init_state()
         self._index_processes()
+        #: The steps left to the current entry (construction, one
+        #: settle or one run), refilled as each entry starts.
+        self.budget = StepBudget()
         #: Frame of module-level code: slot 0 is the machine it charges.
-        self._frame: list = [self]
+        self._frame: list = [self.budget]
         self.compiler = Compiler(self, self)
         #: Per process: its compiled body (comb and edge processes) or
         #: generator function (threads).
@@ -179,15 +184,7 @@ class Kernel:
         ) & ((1 << 64) - 1)
         return (self._rng_state >> 24) & 0xFFFFFFFF
 
-    # -- machine interface (used by compiled code) ---------------------------
-
-    def charge(self, amount: int) -> None:
-        self._charge_budget -= amount
-        if self._charge_budget <= 0:
-            raise SimulationError("simulation execution budget exceeded")
-
-    def headroom(self) -> int:
-        return self._charge_budget
+    # -- interface used by compiled code -------------------------------------
 
     def writer(self, ops: List[WriteOp], blocking: bool):
         """fn(frame, value) assigning through fixed ``ops``."""
@@ -330,6 +327,7 @@ class Kernel:
     def initialize(self) -> None:
         """Time-zero start-up: run every comb process once, launch
         threads, then settle."""
+        self.budget.left = STEP_BUDGET
         for index, proc in enumerate(self.design.processes):
             if isinstance(proc, CombProcess):
                 self._schedule_proc(index)
@@ -340,7 +338,7 @@ class Kernel:
                     restart_body=isinstance(proc, TimedAlwaysProcess),
                 )
                 self._run_thread(thread)
-        self.settle()
+        self._settle()
 
     # -- scheduling primitives -------------------------------------------------
 
@@ -609,6 +607,10 @@ class Kernel:
 
     def settle(self) -> None:
         """Drain the current time slot: active region, then NBA, repeat."""
+        self.budget.left = STEP_BUDGET
+        self._settle()
+
+    def _settle(self) -> None:
         activations = 0
         while True:
             while self._active:
@@ -650,11 +652,12 @@ class Kernel:
                 for op, piece in zip(ops, pieces):
                     self._apply_write(op, piece)
 
-    def advance(self) -> bool:
-        """Advance time to the next scheduled thread event.
+    def _advance(self) -> bool:
+        """Advance time to the next scheduled thread event, within the
+        current entry's budget.
 
         Returns False when nothing remains scheduled."""
-        self.settle()
+        self._settle()
         if self.finished or not self._timewheel:
             return False
         next_time, _, _ = self._timewheel[0]
@@ -664,17 +667,18 @@ class Kernel:
         while self._timewheel and self._timewheel[0][0] == self.time:
             _, _, thread = heapq.heappop(self._timewheel)
             self._active.append(thread)
-        self.settle()
+        self._settle()
         return True
 
     def run(self, max_time: Optional[int] = None) -> None:
         """Run until the time wheel drains or ``max_time`` is reached."""
         limit = MAX_SIM_TIME if max_time is None else max_time
-        self.settle()
+        self.budget.left = STEP_BUDGET
+        self._settle()
         while not self.finished and self._timewheel:
             if self._timewheel[0][0] > limit:
                 return
-            self.advance()
+            self._advance()
 
 
 

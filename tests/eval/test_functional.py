@@ -114,6 +114,44 @@ class TestRobustness:
         assert not outcome.passed
 
 
+#: Adder candidates that never finish: each must fail as ``budget``.
+RUNAWAY_ADDERS = {
+    "for loop while it is built": """\
+  reg [7:0] s;
+  integer i;
+  initial begin s = 0; for (i = 0; i < 8; i = i - 1) s = s + 1; end
+  assign {cout, sum} = a + b + cin + s;""",
+    # Known data reaches the loop: the first vector's first poke.
+    "data-dependent loop in the first vector": """\
+  reg [8:0] s;
+  always @* begin s = a + b + cin; if (^a !== 1'bx) forever s = s + 1; end
+  assign {cout, sum} = s;""",
+    # Verilog leaves c at (2**31 - 1) mod 16 = 15 after the loop.
+    "repeat too long to finish": """\
+  reg [3:0] c;
+  initial begin c = 0; repeat (32'h7fffffff) c = c + 1; end
+  assign {cout, sum} = a + b + cin + c;""",
+    "constant function folded into a localparam": """\
+  function [31:0] spin;
+    input [31:0] x;
+    begin spin = x; while (spin >= 0) spin = spin + 1; end
+  endfunction
+  localparam P = spin(0);
+  assign {cout, sum} = a + b + cin + P;""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNAWAY_ADDERS))
+def test_runaway_fails_as_budget(adder, name):
+    source = ("module top_module(input [7:0] a, input [7:0] b, input cin,\n"
+              "                  output [7:0] sum, output cout);\n"
+              + RUNAWAY_ADDERS[name] + "\nendmodule\n")
+    outcome = run_functional_test(source, adder.spec)
+    assert outcome.failure_kind == "budget"
+    assert "budget exceeded" in outcome.detail
+    assert outcome.vectors_run == 0
+
+
 class TestOutcomeReport:
     """TestOutcome/Mismatch as Reportable documents."""
 

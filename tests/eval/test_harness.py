@@ -196,6 +196,26 @@ class TestEvaluateModel:
         assert second.trace.stage("sample+simulate").cache_misses == 0
         assert first.summary() == second.summary()
 
+    def test_persistent_outcome_from_unversioned_key_is_not_served(
+            self, tmp_path):
+        """A disk cache written before outcome keys carried a schema
+        (``functional/<problem>/<vectors>``) must miss, not serve an
+        outcome computed under other semantics."""
+        from repro.eval.functional import TestOutcome
+        from repro.pipeline import DiskCache
+        from repro.pipeline.cache import content_key
+
+        problems = build_machine_problems()[:1]
+        stale = DiskCache(tmp_path)
+        stale.put(content_key(f"functional/{problems[0].problem_id}/4",
+                              JunkModel().generate("")),
+                  TestOutcome(passed=True))
+        report = evaluate_model(
+            JunkModel(), problems, EvalConfig(n_samples=2, n_test_vectors=4),
+            cache=ResultCache(disk=DiskCache(tmp_path)))
+        assert report.pass_at(1) == 0.0
+        assert report.failure_histogram() == {"parse": 2}
+
     def test_report_json_round_trip(self):
         problems = build_machine_problems()[:3]
         report = evaluate_model(

@@ -5,9 +5,13 @@ once per kernel.  This module is the expression walk
 (``Evaluator._eval_inner``), the generator-per-statement interpreter
 and the kernel glue they need, as they were before that compiler, so
 ``test_sim_oracle.py`` can check the compiled simulator against them
-rule for rule.  It changes in one place only: selects on a memory
+rule for rule.  It changes in two places only: selects on a memory
 element (``mem[i][4:1]``) map their bit positions through the
-memory's declared range, as writes through the same select always did.
+memory's declared range, as writes through the same select always did;
+and execution is bounded as the package bounds it, by one
+:class:`~repro.verilog.sim.interp.StepBudget` per entry (construction,
+settle, run or constant function call), charged at the same points as
+before.
 
 Elaboration, values and net resolution are shared with the package;
 exceptions are the package's classes, so type and message compare
@@ -39,7 +43,8 @@ from repro.verilog.sim.design import (
 )
 from repro.verilog.sim.elaborate import elaborate
 from repro.verilog.sim.eval import EvalError
-from repro.verilog.sim.interp import SimulationError, StopSimulation
+from repro.verilog.sim.interp import (SimulationError, StepBudget,
+                                     StopSimulation)
 from repro.verilog.sim.runtime import Simulator, build_library
 from repro.verilog.sim.scheduler import (
     MAX_ACTIVATIONS_PER_SLOT,
@@ -690,10 +695,6 @@ def split_value_for_ops(value: Vec4, ops: Sequence[WriteOp]) -> List[Vec4]:
 # Statement execution
 # ---------------------------------------------------------------------------
 
-#: Iteration cap for procedural loops.
-MAX_LOOP_ITERATIONS = 1_000_000
-
-
 class Interpreter:
     """Executes statements against a machine object."""
 
@@ -743,35 +744,25 @@ class Interpreter:
             yield from self._exec_for(stmt, scope)
             return
         if isinstance(stmt, ast.While):
-            iterations = 0
             while True:
                 cond = machine.eval(stmt.cond, scope)
                 if not cond.is_true():
                     return
                 yield from self.exec_stmt(stmt.body, scope)
-                iterations += 1
                 machine.charge(1)
-                if iterations > MAX_LOOP_ITERATIONS:
-                    raise SimulationError("while loop exceeded iteration cap")
             return
         if isinstance(stmt, ast.Repeat):
             count = machine.eval(stmt.count, scope)
             if count.has_unknown:
                 return
-            for _ in range(min(count.to_int(), MAX_LOOP_ITERATIONS)):
+            for _ in range(count.to_int()):
                 yield from self.exec_stmt(stmt.body, scope)
                 machine.charge(1)
             return
         if isinstance(stmt, ast.Forever):
-            iterations = 0
             while True:
                 yield from self.exec_stmt(stmt.body, scope)
-                iterations += 1
                 machine.charge(1)
-                if iterations > MAX_LOOP_ITERATIONS:
-                    raise SimulationError(
-                        "forever loop exceeded iteration cap"
-                    )
             return
         if isinstance(stmt, ast.Delay):
             amount = machine.eval(stmt.amount, scope)
@@ -839,7 +830,6 @@ class Interpreter:
         machine = self._machine
         if stmt.init is not None:
             self._exec_assign(stmt.init, scope)
-        iterations = 0
         while True:
             if stmt.cond is not None:
                 cond = machine.eval(stmt.cond, scope)
@@ -848,10 +838,7 @@ class Interpreter:
             yield from self.exec_stmt(stmt.body, scope)
             if stmt.step is not None:
                 self._exec_assign(stmt.step, scope)
-            iterations += 1
             machine.charge(1)
-            if iterations > MAX_LOOP_ITERATIONS:
-                raise SimulationError("for loop exceeded iteration cap")
 
     def _exec_task_call(
         self, stmt: ast.TaskCall, scope: Scope
@@ -977,7 +964,7 @@ class _FrameStore:
 class FunctionMachine:
     """Machine used while evaluating a user-defined function."""
 
-    #: Shared budget pool so deep function recursion terminates.
+    #: Calls nested deeper than this return all-x.
     MAX_DEPTH = 64
 
     def __init__(self, base_store, base_machine=None, depth: int = 0) -> None:
@@ -987,16 +974,12 @@ class FunctionMachine:
         self._base_machine = base_machine
         self._depth = depth
         self.evaluator = Evaluator(self._store, self._call_function)
-        self._budget = 1_000_000
+        # Steps go to the budget of the entry that made the call; a call
+        # outside a kernel is an entry of its own.
+        self.charge = (StepBudget().charge if base_machine is None
+                       else base_machine.charge)
 
     # machine interface -----------------------------------------------------
-
-    def charge(self, amount: int) -> None:
-        self._budget -= amount
-        if self._budget <= 0:
-            raise SimulationError("function execution budget exceeded")
-        if self._base_machine is not None:
-            self._base_machine.charge(amount)
 
     def eval(self, expr: ast.Expr, scope: Scope,
              ctx_width: Optional[int] = None) -> Vec4:
@@ -1162,8 +1145,9 @@ class Kernel:
 
         self.evaluator = Evaluator(self, self._call_function)
         self._interp = Interpreter(self)
-        self._activation_budget = MAX_ACTIVATIONS_PER_SLOT
-        self._charge_budget = 10_000_000
+        #: The steps left to the current entry: construction, one
+        #: settle or one run.
+        self.budget = StepBudget()
         #: Index of the always-block comb process currently executing.
         #: Its own blocking writes must not retrigger it (the @* control
         #: re-arms only after the body completes — LRM 9.7.5).
@@ -1198,9 +1182,7 @@ class Kernel:
     # -- machine interface (used by Interpreter) ---------------------------
 
     def charge(self, amount: int) -> None:
-        self._charge_budget -= amount
-        if self._charge_budget <= 0:
-            raise SimulationError("simulation execution budget exceeded")
+        self.budget.charge(amount)
 
     def eval(self, expr: ast.Expr, scope: Scope,
              ctx_width: Optional[int] = None) -> Vec4:
@@ -1288,6 +1270,7 @@ class Kernel:
     def initialize(self) -> None:
         """Time-zero start-up: run every comb process once, launch
         threads, then settle."""
+        self.budget = StepBudget()
         for index, proc in enumerate(self.design.processes):
             if isinstance(proc, CombProcess):
                 self._schedule_proc(index)
@@ -1303,7 +1286,7 @@ class Kernel:
                     restart_body=True,
                 )
                 self._run_thread(thread)
-        self.settle()
+        self._settle()
 
     # -- scheduling primitives -------------------------------------------------
 
@@ -1536,6 +1519,10 @@ class Kernel:
 
     def settle(self) -> None:
         """Drain the current time slot: active region, then NBA, repeat."""
+        self.budget = StepBudget()
+        self._settle()
+
+    def _settle(self) -> None:
         activations = 0
         while True:
             while self._active:
@@ -1577,11 +1564,12 @@ class Kernel:
                 for op, piece in zip(ops, pieces):
                     self._apply_write(op, piece)
 
-    def advance(self) -> bool:
-        """Advance time to the next scheduled thread event.
+    def _advance(self) -> bool:
+        """Advance time to the next scheduled thread event, within the
+        current entry's budget.
 
         Returns False when nothing remains scheduled."""
-        self.settle()
+        self._settle()
         if self.finished or not self._timewheel:
             return False
         next_time, _, _ = self._timewheel[0]
@@ -1591,17 +1579,18 @@ class Kernel:
         while self._timewheel and self._timewheel[0][0] == self.time:
             _, _, thread = heapq.heappop(self._timewheel)
             self._active.append(thread)
-        self.settle()
+        self._settle()
         return True
 
     def run(self, max_time: Optional[int] = None) -> None:
         """Run until the time wheel drains or ``max_time`` is reached."""
         limit = MAX_SIM_TIME if max_time is None else max_time
-        self.settle()
+        self.budget = StepBudget()
+        self._settle()
         while not self.finished and self._timewheel:
             if self._timewheel[0][0] > limit:
                 return
-            self.advance()
+            self._advance()
 
     # -- $display formatting ---------------------------------------------------
 

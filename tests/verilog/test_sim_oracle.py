@@ -3,11 +3,11 @@
 ``reference_sim.py`` holds the expression walk and statement
 interpreter the compiler replaced.  Both simulators are driven with the
 same poke/clock script and must agree on every signal's four-state
-pattern and on the steps charged to the budget after every step, on the
-exception (type and message, during
+pattern and on the steps left in the step budget after every step, on
+the exception (type and message, during
 construction included), and on ``run_functional_test``'s outcome:
 over every corpus family, its operator mutants and a syntax break,
-over the two runaway-loop shapes, and over random expressions placed
+over a corpus of runaways, and over random expressions placed
 in a continuous assign, ``always @*`` and ``always @(posedge clk)``.
 The per-bit ``Vec4.slice``/``set_slice`` loops are kept here as the
 reference for the shift-and-mask versions.
@@ -27,7 +27,8 @@ from repro.dataset.corrupt import operator_mutants
 from repro.verilog.parser import ParseError, parse
 from repro.verilog.sim.design import ConstBinding, Scope
 from repro.verilog.sim.eval import Evaluator, const_evaluator
-from repro.verilog.sim.interp import SimulationError, const_function_caller
+from repro.verilog.sim.interp import (STEP_BUDGET, SimulationError,
+                                     const_function_caller)
 from repro.verilog.sim.runtime import Simulator
 from repro.verilog.sim.values import Vec4
 
@@ -42,9 +43,10 @@ def _error(exc):
 
 
 def _snapshot(sim):
-    # Steps left in the kernel's budget: every statement, loop
-    # iteration and function step executed so far, counted exactly.
-    state = {"budget left": sim.kernel._charge_budget}
+    # Steps left in the budget of the last entry (construction, poke or
+    # clock edge): every statement, loop iteration and function step it
+    # executed, counted exactly.
+    state = {"budget left": sim.kernel.budget.left}
     for name, signal in sorted(sim.design.signals.items()):
         if signal.is_memory:
             state[name] = [sim.peek_mem(name, signal.array_min + i)
@@ -120,8 +122,9 @@ def assert_same_as_reference(monkeypatch, source, spec=None, seed=0):
 
 #: The two runaway-loop shapes an operator mutant can take: counting down
 #: to 0 with a step that adds, or up from 0 with a step that subtracts.
-#: Such a mutant runs a million iterations before the cap stops it;
-#: ``test_runaway_loops_match_reference`` covers both shapes cheaply.
+#: Such a mutant runs until its step budget is spent;
+#: ``test_runaway_loops_match_reference`` and ``RUNAWAYS`` cover both
+#: shapes, so the corpus cases leave them out.
 RUNAWAY = re.compile(
     r"for\s*\(\s*(\w+)\s*=[^;]*;\s*\1\s*>=\s*0\s*;\s*\1\s*=\s*\1\s*\+"
     r"|for\s*\(\s*(\w+)\s*=\s*0\s*;\s*\2\s*<[^=;][^;]*;\s*\2\s*=\s*\2\s*-")
@@ -185,13 +188,82 @@ def test_runaway_loops_match_reference(monkeypatch, loop):
     spec = generate_design("popcount", random.Random(0),
                            params={"WIDTH": 8}).spec
     outcome = _outcome(monkeypatch, Simulator, source, spec)
-    assert "function execution budget exceeded" in outcome
+    assert "step budget exceeded" in outcome
     assert outcome == _outcome(monkeypatch, ReferenceSimulator, source, spec)
 
 
-#: A function that spends 999,903 + ``{before}`` steps of its
-#: 1,000,000-step budget (runs of empty statements included): 96 fits,
-#: 97 runs out on the last step.
+#: Runaways a candidate can hold, each the body of a population count:
+#: both ``for`` shapes, ``while``, a ``repeat`` too long to finish,
+#: ``forever`` in ``always @*``, a runaway function, one that only the
+#: first vector's data reaches, and a constant function folded into a
+#: parameter during elaboration.
+RUNAWAYS = {
+    "for counting up, stepping down": """\
+  reg [3:0] c;
+  integer i;
+  initial begin c = 0; for (i = 0; i < 8; i = i - 1) c = c + 1; end
+  assign count = c;""",
+    "for counting down, stepping up": """\
+  reg [3:0] c;
+  integer i;
+  always @* begin
+    c = 0;
+    for (i = 7; i >= 0; i = i + 1) c = c + data[i];
+  end
+  assign count = c;""",
+    "while": """\
+  reg [3:0] c;
+  integer i;
+  always @* begin c = 0; i = 0; while (i < 8) c = c + data[i]; end
+  assign count = c;""",
+    "repeat": """\
+  reg [3:0] c;
+  initial begin c = 0; repeat (32'h7fffffff) c = c + 1; end
+  assign count = c;""",
+    "forever in always @*": """\
+  reg [3:0] c;
+  always @* forever c = data[3:0];
+  assign count = c;""",
+    "function": """\
+  function [3:0] ones;
+    input [7:0] v;
+    integer i;
+    begin
+      ones = 0;
+      for (i = 0; i < 8; i = i - 1) ones = ones + v[0];
+    end
+  endfunction
+  assign count = ones(data);""",
+    "reached by the first vector": """\
+  reg [3:0] c;
+  always @* begin c = 0; if (^data !== 1'bx) forever c = c + 1; end
+  assign count = c;""",
+    "constant function": """\
+  function [31:0] spin;
+    input [31:0] x;
+    begin spin = x; while (spin >= 0) spin = spin + 1; end
+  endfunction
+  localparam P = spin(0);
+  assign count = P;""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNAWAYS))
+def test_runaway_corpus_matches_reference(monkeypatch, name):
+    source = ("module popcount(input [7:0] data, output [3:0] count);\n"
+              + RUNAWAYS[name] + "\nendmodule\n")
+    spec = generate_design("popcount", random.Random(0),
+                           params={"WIDTH": 8}).spec
+    outcome = _outcome(monkeypatch, Simulator, source, spec)
+    assert '"failure_kind": "budget"' in outcome
+    assert "step budget exceeded" in outcome
+    assert outcome == _outcome(monkeypatch, ReferenceSimulator, source, spec)
+
+
+#: A function that spends ``STEP_BUDGET - 97 + {before}`` steps, all in
+#: the construction's budget: 3 + ``{before}`` (a run of empty statements
+#: charges its length) + 100 per iteration.  96 fits with one step to
+#: spare; 97 runs out on the last step.
 BUDGET_EDGE = """\
 module budget_edge(input [3:0] sel, output [7:0] y);
   function [7:0] spin;
@@ -199,7 +271,7 @@ module budget_edge(input [3:0] sel, output [7:0] y);
     integer i;
     begin
       spin = s;{before}
-      for (i = 0; i < 9999; i = i + 1) begin
+      for (i = 0; i < {iterations}; i = i + 1) begin
         spin = spin + 1;{padding}
       end
     end
@@ -212,6 +284,7 @@ endmodule
 @pytest.mark.parametrize("before", [96, 97])
 def test_function_budget_edge_matches_reference(before):
     source = (BUDGET_EDGE.replace("{before}", "\n      ;" * before)
+              .replace("{iterations}", str(STEP_BUDGET // 100 - 1))
               .replace("{padding}", "\n        ;" * 97))
     outcomes = []
     for make in (Simulator, ReferenceSimulator):
@@ -220,7 +293,11 @@ def test_function_budget_edge_matches_reference(before):
         except SimulationError as exc:
             outcomes.append(_error(exc))
     assert outcomes[0] == outcomes[1]
-    assert isinstance(outcomes[0], tuple) == (before == 97)
+    if before == 96:
+        assert outcomes[0]["budget left"] == 1
+    else:
+        assert outcomes[0] == ("error", "StepBudgetExceeded",
+                               f"step budget exceeded ({STEP_BUDGET} steps)")
 
 
 #: Long operator chains, ternary chains and if/else chains: compiling

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.verilog import Simulator, SimulationError, ElaborationError
+from repro.verilog.sim.interp import StepBudgetExceeded
 from repro.verilog.sim.values import Vec4
 
 
@@ -464,3 +465,47 @@ class TestXPropagation:
             endmodule""")
         # c unknown -> else branch (strict truth).
         assert sim.peek_int("y") == 2
+
+
+class TestStepBudget:
+    """One ``STEP_BUDGET`` per entry: construction, settle, run."""
+
+    def test_each_poke_gets_a_fresh_budget(self):
+        # Each settle spends 40,003 steps: three add up to more than one
+        # budget, but none runs out of its own.
+        sim = Simulator("""
+            module busy(input [7:0] d, output reg [15:0] y);
+              integer i;
+              always @* begin
+                y = 0;
+                for (i = 0; i < 20000; i = i + 1) y = y + d[0];
+              end
+            endmodule""")
+        for value in (1, 0, 1):
+            sim.poke("d", value)
+        assert sim.peek_int("y") == 20000
+
+    def test_runaway_thread_under_run_stops(self):
+        sim = Simulator("""
+            module ticker(output reg [3:0] c);
+              initial begin c = 0; forever #1 c = c + 1; end
+            endmodule""")
+        with pytest.raises(StepBudgetExceeded, match="budget exceeded"):
+            sim.run()
+
+
+@pytest.mark.parametrize("process", [
+    "assign y = {};",
+    "always @* y_r = {};\n  assign y = y_r;",
+])
+def test_read_deep_in_an_expression_is_in_the_sensitivity(process):
+    # ``b`` sits 70 operator levels down the left-leaning chain.
+    chain = " ^ ".join(["b"] + [f"a[{i}]" for i in range(70)])
+    sim = Simulator(
+        "module deep(input [69:0] a, input b, output y);\n  reg y_r;\n  "
+        + process.format(chain) + "\nendmodule\n")
+    sim.poke("a", 0)
+    sim.poke("b", 0)
+    assert sim.peek("y").to_bit_string() == "0"
+    sim.poke("b", 1)
+    assert sim.peek("y").to_bit_string() == "1"
