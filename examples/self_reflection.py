@@ -1,12 +1,19 @@
 """OriGen-style self-reflection: compiler feedback drives repair.
 
 Breaks a known-good design three different ways, shows the compiler
-diagnostics for each, and lets the repair loop fix them — then verifies
-the repaired code is still *functionally* correct by simulating it
-against the design's golden model.
+diagnostics for each, and lets the repair loop
+(:class:`repro.repairloop.RepairLoop`, rule-based repairer, budget 4)
+fix them — then checks whether the repaired code is still
+*functionally* correct by simulating it against the design's golden
+model.
 
     python examples/self_reflection.py
     python examples/self_reflection.py --seed 5 --report-json repairs.json
+
+The script exits non-zero when no damaged design was repaired, or when
+code the loop reports as fixed still fails the compile check.  A
+repaired design that fails its functional test is a printed result,
+not an error: a syntax repair does not guarantee correct behaviour.
 
 Shared flags (see ``_cli.py``): ``--report-json`` writes the per-attempt
 outcomes; ``--trace-json`` writes the merged run report with one span
@@ -14,12 +21,13 @@ per repair attempt.
 """
 
 import random
+import sys
 
 import _cli
 from repro.corpus import mutate
 from repro.corpus.templates import generate_design
 from repro.eval.functional import run_functional_test
-from repro.model.repair import repair
+from repro.repairloop import RepairLoop
 from repro.verilog import check
 
 
@@ -36,8 +44,10 @@ def main() -> None:
           f"({design.spec.family})")
     assert check(design.source).status == "clean"
 
+    loop = RepairLoop(budget=4)
     rng = random.Random(args.seed)
     attempts = []
+    failures = []
     for attempt in range(3):
         broken = mutate.break_syntax(design.source, rng)
         report = check(broken.source)
@@ -48,23 +58,26 @@ def main() -> None:
 
         with obs.span("example.repair", attempt=attempt,
                       damage=str(broken.applied)) as span:
-            outcome = repair(broken.source)
-            span.meta["fixed"] = outcome.fixed
+            transcript = loop.run(broken.source)
+            span.meta["fixed"] = transcript.fixed
         obs.counter("example.repairs_attempted").inc()
-        if outcome.fixed:
+        if transcript.fixed:
             obs.counter("example.repairs_fixed").inc()
-        print("repair actions:", outcome.actions or "(none)")
-        print("fixed:", outcome.fixed,
-              "| final status:", outcome.final_status)
+        print("repair actions:", transcript.actions() or "(none)")
+        print("fixed:", transcript.fixed,
+              "| final status:", transcript.final_status)
         record = {
             "attempt": attempt,
             "damage": str(broken.applied),
-            "fixed": outcome.fixed,
-            "final_status": outcome.final_status,
+            "fixed": transcript.fixed,
+            "final_status": transcript.final_status,
         }
-        if outcome.fixed:
+        if transcript.fixed:
+            if check(transcript.final_code).status == "syntax":
+                failures.append(f"damage {attempt + 1} is reported fixed "
+                                "but still fails the compile check")
             functional = run_functional_test(
-                outcome.code, design.spec, n_vectors=24)
+                transcript.final_code, design.spec, n_vectors=24)
             print("functional after repair:",
                   "PASS" if functional.passed else
                   f"FAIL ({functional.detail})")
@@ -74,6 +87,10 @@ def main() -> None:
     _cli.write_report(args, {"design": design.spec.module_name,
                              "attempts": attempts})
     _cli.write_trace(args, obs, example="self_reflection")
+    if not any(record["fixed"] for record in attempts):
+        failures.append("no damaged design was repaired")
+    if failures:
+        sys.exit("error: " + "; ".join(failures))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ model at inference.  Both are reproduced over the shared substrate:
 * :func:`finetune_origen` filters to compiling samples, adds one
   augmented (rewritten) variant per sample, and fine-tunes flat;
 * :class:`SelfReflectiveModel` wraps any generator with the
-  compile-check → repair loop from :mod:`repro.model.repair`.
+  compile-check → repair loop, :class:`repro.repairloop.RepairLoop`
+  with its rule-based repairer.
 
 Table I's OriGen rows use the fine-tune only (the paper compares
 against OriGen's published scores, noting its self-reflection loop is
@@ -25,7 +26,7 @@ from ..corpus.mutate import degrade_style
 from ..dataset.records import CompileStatus, PyraNetDataset
 from ..finetune.trainer import PhaseLog, TrainingLog
 from ..model.interfaces import FineTunable, TrainingExample
-from ..model.repair import repair
+from ..repairloop import RepairLoop
 
 
 def augment_code(code: str, rng: random.Random) -> str:
@@ -80,8 +81,8 @@ class SelfReflectiveModel(FineTunable):
     """Inference-time self-reflection wrapper.
 
     Generation proceeds normally; when the completion fails to compile,
-    the compiler diagnostics drive up to ``max_rounds`` of repair —
-    OriGen's error-correction loop.
+    the compiler diagnostics drive up to ``2 * max_rounds`` repair
+    iterations — OriGen's error-correction loop.
     """
 
     def __init__(self, inner: FineTunable, max_rounds: int = 2) -> None:
@@ -104,12 +105,9 @@ class SelfReflectiveModel(FineTunable):
                  module_header=None) -> str:
         code = self.inner.generate(description, temperature, rng,
                                    module_header)
-        from ..verilog import check
-
-        if check(code).status != "syntax":
-            return code
-        self.repairs_attempted += 1
-        outcome = repair(code, max_iterations=self.max_rounds * 2)
-        if outcome.fixed:
-            self.repairs_succeeded += 1
-        return outcome.code
+        transcript = RepairLoop(budget=self.max_rounds * 2).run(code)
+        if transcript.initial_status == "syntax":
+            self.repairs_attempted += 1
+            if transcript.fixed:
+                self.repairs_succeeded += 1
+        return transcript.final_code

@@ -5,7 +5,6 @@ from .filters import FunnelStats, run_filter_funnel
 from .dedup import (
     DedupReport,
     deduplicate,
-    deduplicate_partitioned,
     jaccard,
     tokenize_for_dedup,
 )
@@ -37,8 +36,7 @@ from .io import load_jsonl, save_jsonl
 __all__ = [
     "Complexity", "CompileStatus", "DatasetEntry", "PyraNetDataset",
     "FunnelStats", "run_filter_funnel",
-    "DedupReport", "deduplicate", "deduplicate_partitioned",
-    "jaccard", "tokenize_for_dedup",
+    "DedupReport", "deduplicate", "jaccard", "tokenize_for_dedup",
     "RankingResult", "rank_code", "score_code",
     "classify_code", "classify_metrics", "complexity_score",
     "describe_blocks", "describe_module", "describe_source",

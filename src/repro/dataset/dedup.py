@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[^\sA-Za-z0-9_]")
 
@@ -162,6 +163,20 @@ def band_key(band: int, chunk: Sequence[int]) -> Tuple[int, str]:
     return band, hashlib.blake2b(raw, digest_size=8).hexdigest()
 
 
+BandKey = Tuple[int, str]
+
+
+def signature_band_keys(signature: Sequence[int],
+                        bands: int) -> List[BandKey]:
+    """All LSH bucket keys of one signature, band by band."""
+    n_perm = len(signature)
+    if n_perm % bands != 0:
+        raise ValueError(f"bands={bands} must divide n_perm={n_perm}")
+    rows = n_perm // bands
+    return [band_key(band, signature[band * rows:(band + 1) * rows])
+            for band in range(bands)]
+
+
 @dataclass
 class DedupReport:
     """Outcome of :func:`deduplicate`."""
@@ -186,6 +201,29 @@ class DedupReport:
         return [(later, self.duplicate_of[later],
                  self.similarities.get(later, 0.0))
                 for later in sorted(self.duplicate_of)]
+
+    def decide(self, index: int, shingles: FrozenSet[str],
+               candidates: Iterable[Tuple[int, FrozenSet[str]]],
+               threshold: float) -> bool:
+        """The paper's decision rule for file ``index``; returns whether
+        it is dropped.
+
+        ``candidates`` are ``(index, shingle set)`` of the earlier
+        *kept* files that share an LSH band key with it, ascending by
+        index.  Each is verified with exact Jaccard (and counted in
+        ``candidate_pairs_checked``); the first whose similarity is at
+        or above ``threshold`` wins and the drop is recorded.  Both
+        dedup reduces — :func:`deduplicate` and curation's spilled,
+        band-partitioned one — decide through this method.
+        """
+        for candidate, candidate_shingles in candidates:
+            self.candidate_pairs_checked += 1
+            similarity = jaccard(shingles, candidate_shingles)
+            if similarity >= threshold:
+                self.duplicate_of[index] = candidate
+                self.similarities[index] = similarity
+                return True
+        return False
 
 
 def deduplicate(
@@ -228,7 +266,6 @@ def deduplicate(
     n_perm = hasher.n_perm
     if n_perm % bands != 0:
         raise ValueError(f"bands={bands} must divide n_perm={n_perm}")
-    rows = n_perm // bands
     if (shingle_sets is None) != (signatures is None):
         raise ValueError(
             "pass shingle_sets and signatures together or not at all")
@@ -239,32 +276,19 @@ def deduplicate(
         raise ValueError("precomputed shingle_sets/signatures must "
                          "cover every code")
 
+    # Buckets hold kept indices only, so the candidates gathered from
+    # them are exactly the earlier kept files sharing a band key.
     report = DedupReport()
-    buckets: Dict[Tuple[int, str], List[int]] = {}
+    buckets: Dict[BandKey, List[int]] = {}
     for index, signature in enumerate(signatures):
-        if index in report.duplicate_of:
-            continue
-        # Gather LSH candidates.
+        keys = signature_band_keys(signature, bands)
         candidates: Set[int] = set()
-        keys = []
-        for band in range(bands):
-            chunk = signature[band * rows:(band + 1) * rows]
-            key = band_key(band, chunk)
-            keys.append(key)
+        for key in keys:
             candidates.update(buckets.get(key, ()))
-        duplicate = None
-        for candidate in sorted(candidates):
-            if candidate in report.duplicate_of:
-                continue
-            report.candidate_pairs_checked += 1
-            similarity = jaccard(shingle_sets[index],
-                                 shingle_sets[candidate])
-            if similarity >= threshold:
-                duplicate = candidate
-                break
-        if duplicate is not None:
-            report.duplicate_of[index] = duplicate
-            report.similarities[index] = similarity
+        if report.decide(index, shingle_sets[index],
+                         ((candidate, shingle_sets[candidate])
+                          for candidate in sorted(candidates)),
+                         threshold):
             continue
         report.kept_indices.append(index)
         for key in keys:
@@ -279,44 +303,6 @@ def dedup_keep_indices(
     return deduplicate(codes, threshold).kept_indices
 
 
-# -- band-partitioned (distributed) dedup -------------------------------
-#
-# :func:`deduplicate` is inherently sequential: the candidate set of
-# index ``i`` is "kept indices j < i sharing at least one LSH band key
-# with i", and keep/drop decisions feed back into the buckets.  The
-# partitioned form below splits that into a pure map-reduce whose
-# decisions are *provably identical*:
-#
-# * map: each partition owns a subset of band keys (whole bands — a
-#   key's band determines its partition, so no coordination is needed)
-#   and emits every colliding ``(earlier, later)`` index pair in its
-#   buckets, regardless of keep status;
-# * reduce: the merged pair lists give, for each index ``i``, the full
-#   set ``{j < i : j shares a band key with i}``.  A single ascending
-#   resolve pass then filters candidates by "j is currently kept" —
-#   because indices are resolved in ascending order, j's keep status is
-#   final when i is examined, so the filtered set equals the sequential
-#   bucket contents exactly.  Candidates are verified with exact
-#   Jaccard in ascending order with the same inclusive threshold and
-#   first-match break, so ``kept_indices``, ``duplicate_of`` *and*
-#   ``candidate_pairs_checked`` all reproduce :func:`deduplicate`
-#   bit-for-bit for any band→partition assignment
-#   (``tests/dataset/test_dedup_partition.py`` property-tests this).
-
-BandKey = Tuple[int, str]
-
-
-def signature_band_keys(signature: Sequence[int],
-                        bands: int) -> List[BandKey]:
-    """All LSH bucket keys of one signature, band by band."""
-    n_perm = len(signature)
-    if n_perm % bands != 0:
-        raise ValueError(f"bands={bands} must divide n_perm={n_perm}")
-    rows = n_perm // bands
-    return [band_key(band, signature[band * rows:(band + 1) * rows])
-            for band in range(bands)]
-
-
 def band_candidate_pairs(
     keyed_indices: Sequence[Tuple[BandKey, int]],
 ) -> List[Tuple[int, int]]:
@@ -325,9 +311,16 @@ def band_candidate_pairs(
     ``keyed_indices`` are ``(band_key, index)`` emissions for the band
     keys this partition owns.  Every pair of indices sharing a key is
     emitted as ``(earlier, later)``, sorted — keep status is *not*
-    consulted here (it cannot be known partition-locally); the resolve
-    pass filters.  Module-level and argument-picklable, so it runs
-    unchanged under the process executor backend.
+    consulted here (it cannot be known partition-locally).
+
+    Why curation's spilled reduce, built on this, decides exactly like
+    :func:`deduplicate` for any band → partition assignment: the merged
+    pairs give each index ``i`` the set of ``j < i`` sharing a band key
+    with it.  Resolving indices in ascending order, ``j``'s verdict is
+    final when ``i`` is examined, so keeping only the ``j`` still kept
+    yields :func:`deduplicate`'s bucket contents, and
+    :meth:`DedupReport.decide` then makes the same decisions and counts
+    the same checks.
     """
     buckets: Dict[BandKey, List[int]] = {}
     for key, index in keyed_indices:
@@ -341,114 +334,3 @@ def band_candidate_pairs(
                 if earlier != later:
                     pairs.add((earlier, later))
     return sorted(pairs)
-
-
-def merge_band_candidates(
-    pair_lists: Sequence[Sequence[Tuple[int, int]]],
-) -> Dict[int, List[int]]:
-    """Reduce side: merge per-partition pair lists into an adjacency.
-
-    Returns ``{later: sorted earlier candidates}``.  A pair may arrive
-    from several partitions (two files can collide in many bands);
-    duplicates are dropped so the resolve pass checks each candidate
-    once — exactly like the sequential version's candidate *set*.
-    """
-    adjacency: Dict[int, Set[int]] = {}
-    for pairs in pair_lists:
-        for earlier, later in pairs:
-            adjacency.setdefault(later, set()).add(earlier)
-    return {later: sorted(earlier_set)
-            for later, earlier_set in adjacency.items()}
-
-
-def resolve_duplicates(
-    indices: Sequence[int],
-    adjacency: Dict[int, List[int]],
-    shingles_for,
-    threshold: float = 0.8,
-) -> DedupReport:
-    """Deterministic cross-band merge: sequential decisions, serially.
-
-    ``indices`` must be ascending (input order); ``shingles_for(i)``
-    returns the shingle set of index ``i`` — a callable so streaming
-    callers can lazily materialise only the indices that appear in
-    ``adjacency``.  The loop mirrors :func:`deduplicate`'s decision
-    loop exactly: candidates ascending, dropped candidates skipped,
-    exact-Jaccard verification, inclusive threshold, first match wins.
-    """
-    report = DedupReport()
-    kept: Set[int] = set()
-    for index in indices:
-        duplicate = None
-        for candidate in adjacency.get(index, ()):  # ascending
-            if candidate not in kept:
-                continue
-            report.candidate_pairs_checked += 1
-            similarity = jaccard(shingles_for(index),
-                                 shingles_for(candidate))
-            if similarity >= threshold:
-                duplicate = candidate
-                break
-        if duplicate is not None:
-            report.duplicate_of[index] = duplicate
-            report.similarities[index] = similarity
-            continue
-        report.kept_indices.append(index)
-        kept.add(index)
-    return report
-
-
-def deduplicate_partitioned(
-    codes: Sequence[str],
-    threshold: float = 0.8,
-    n_perm: int = N_PERM,
-    bands: int = BANDS,
-    n_partitions: int = 4,
-    hasher: Optional[MinHasher] = None,
-    partition_of=None,
-    mapper=None,
-) -> DedupReport:
-    """:func:`deduplicate`, decomposed as band-partitioned map-reduce.
-
-    Args:
-        codes / threshold / n_perm / bands / hasher: as
-            :func:`deduplicate`.
-        n_partitions: how many shared-nothing partitions the band keys
-            are split across.
-        partition_of: ``band_key -> partition id`` (default: the band
-            number modulo ``n_partitions``).  Any assignment yields
-            identical decisions — the union of emitted pairs does not
-            depend on how bands are grouped.
-        mapper: ``(fn, items) -> results`` used to run the map side —
-            pass ``ParallelExecutor(...).map`` for real parallelism;
-            defaults to in-process sequential mapping.
-
-    Returns a :class:`DedupReport` equal to ``deduplicate(codes, …)``
-    field-for-field.
-    """
-    if hasher is None:
-        hasher = MinHasher(n_perm)
-    n_perm = hasher.n_perm
-    if n_perm % bands != 0:
-        raise ValueError(f"bands={bands} must divide n_perm={n_perm}")
-    if n_partitions <= 0:
-        raise ValueError("n_partitions must be positive")
-    if partition_of is None:
-        partition_of = lambda key: key[0] % n_partitions  # noqa: E731
-    shingle_sets = [tokenize_for_dedup(code) for code in codes]
-    signatures = [hasher.signature(s) for s in shingle_sets]
-
-    partitions: List[List[Tuple[BandKey, int]]] = [
-        [] for _ in range(n_partitions)]
-    for index, signature in enumerate(signatures):
-        for key in signature_band_keys(signature, bands):
-            partitions[partition_of(key)].append((key, index))
-
-    if mapper is None:
-        pair_lists = [band_candidate_pairs(part) for part in partitions]
-    else:
-        pair_lists = mapper(band_candidate_pairs, partitions)
-    adjacency = merge_band_candidates(pair_lists)
-    return resolve_duplicates(
-        range(len(codes)), adjacency,
-        lambda i: shingle_sets[i], threshold)

@@ -25,13 +25,14 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from ..obs.reportable import report_json, strip_schema
 from .dedup import (
     BANDS,
     N_PERM,
+    BandKey,
     DedupReport,
     MinHasher,
     deduplicate,
@@ -111,9 +112,9 @@ class FamilyForest:
     The representative of every component is its **minimum index**, so
     :meth:`compressed` is a pure function of the component partition —
     independent of union order, partition count, or merge order.  That
-    is what lets streaming workers build partial forests over their
-    band partition's collision pairs and the parent merge them into
-    exactly the forest the in-memory path computes.
+    is what lets spilled curation's workers build partial forests over
+    their band partition's keys and the parent merge them into exactly
+    the forest the in-memory path computes.
     """
 
     def __init__(self) -> None:
@@ -167,33 +168,24 @@ class FamilyForest:
                    if self.find(other) == root)
 
 
-def collision_forest(signatures: Sequence[Sequence[int]],
-                     bands: int) -> FamilyForest:
-    """The LSH collision graph of ``signatures`` as a union-find forest.
+def collision_forest(
+        keyed_indices: Iterable[Tuple[BandKey, int]]) -> FamilyForest:
+    """The LSH collision graph of ``(band key, index)`` emissions as a
+    union-find forest: two indices are joined when they share a key.
 
-    Two positions are joined when any band key collides — exactly the
-    edge set the band-partitioned map side
-    (:func:`~.dedup.band_candidate_pairs`) emits, so the streaming
-    partial-forest merge reconstructs this forest identically.  Band
+    The in-memory reduce feeds it every survivor's keys; a spilled
+    run's partition workers feed it their partition's keys, and the
+    parent merges the partial forests into the same forest (the
+    representative is the minimum index, whatever the grouping).  Band
     keys are cheap blake2b digests over already-computed signature
     lanes: **no shingle is re-hashed here**.
     """
     forest = FamilyForest()
-    buckets: Dict[Tuple[int, str], int] = {}
-    for position, signature in enumerate(signatures):
-        for key in signature_band_keys(signature, bands):
-            first = buckets.setdefault(key, position)
-            if first != position:
-                forest.union(first, position)
-    return forest
-
-
-def forest_from_pairs(pairs: Sequence[Tuple[int, int]]) -> FamilyForest:
-    """A forest over one partition's collision pairs (the worker-side
-    partial forest streaming emits)."""
-    forest = FamilyForest()
-    for earlier, later in pairs:
-        forest.union(earlier, later)
+    first: Dict[BandKey, int] = {}
+    for key, index in keyed_indices:
+        root = first.setdefault(key, index)
+        if root != index:
+            forest.union(root, index)
     return forest
 
 
@@ -526,20 +518,17 @@ def build_family_artifacts(
     report = deduplicate(codes, threshold=threshold, bands=bands,
                          hasher=hasher, shingle_sets=shingle_sets,
                          signatures=signatures)
-    forest = collision_forest(signatures, bands)
+    forest = collision_forest(
+        (key, index) for index, signature in zip(indices, signatures)
+        for key in signature_band_keys(signature, bands))
 
-    # Translate batch positions to corpus indices.  ``indices`` is
-    # ascending, so the min-position root maps to the min-index root
-    # and the forest stays canonical.
+    # Translate batch positions to corpus indices.
     duplicate_of = {indices[later]: indices[earlier]
                     for later, earlier in report.duplicate_of.items()}
     similarities = {indices[later]: similarity
                     for later, similarity in report.similarities.items()}
-    translated = FamilyForest()
-    translated.merge({indices[node]: indices[root]
-                      for node, root in forest.compressed().items()})
     involved = set(duplicate_of) | set(duplicate_of.values())
     meta = {index: meta_for(index) for index in sorted(involved)}
-    index = FamilyIndex.build(duplicate_of, similarities, translated,
+    index = FamilyIndex.build(duplicate_of, similarities, forest,
                               meta, seed=seed, threshold=threshold)
     return report, index

@@ -30,9 +30,11 @@ Spilled to disk, holding every shingle set at once would defeat the
 spill, so phase 1 routes band keys to partitions instead: each
 partition emits its colliding pairs (:func:`~.dedup.band_candidate_pairs`,
 a shared-nothing map side) and one ascending resolve pass over the
-spilled survivors replays the sequential decisions exactly (see the
-equivalence argument in :mod:`.dedup`), holding only the shingle sets
-still referenced by unresolved pairs.  The partitioned reduce is the
+spilled survivors replays the sequential decisions exactly, holding
+only the shingle sets still referenced by unresolved pairs.  Both
+reduces decide through one rule, :meth:`~.dedup.DedupReport.decide`,
+and build their collision forest with one builder,
+:func:`~.families.collision_forest`.  The partitioned reduce is the
 only one that bounds memory; the in-memory one expands no candidate
 pairs and tokenises no survivor twice.  Both give the same bytes.
 
@@ -93,9 +95,9 @@ from .complexity import classify_code
 from .dedup import (
     BANDS,
     N_PERM,
+    DedupReport,
     MinHasher,
     band_candidate_pairs,
-    jaccard,
     signature_band_keys,
     tokenize_for_dedup,
 )
@@ -105,7 +107,7 @@ from .families import (
     FamilyIndex,
     FamilyReport,
     build_family_artifacts,
-    forest_from_pairs,
+    collision_forest,
     module_names,
 )
 from .filters import FunnelStats, has_module, is_readable, syntax_filter
@@ -438,8 +440,8 @@ def _partition_pairs(arg: Tuple[str, str]) -> tuple:
                     zlib.decompress(pickle.load(handle))))
             except EOFError:
                 break
+    forest = collision_forest(emissions).compressed()
     pairs = band_candidate_pairs(emissions)
-    forest = forest_from_pairs(pairs).compressed()
     pairs.sort(key=lambda pair: (pair[1], pair[0]))
     refcounts: Dict[int, int] = {}
     for earlier, _later in pairs:
@@ -875,23 +877,23 @@ class CurationPipeline:
                            ) -> Tuple[Collection[int], int, FamilyIndex]:
         """The reduce for spilled survivors: map per partition, then zip
         a streaming merge of the partition pair streams against one
-        ascending pass over the spilled survivors — the decisions (and
-        the candidate-pairs-checked count) equal
-        :func:`~.dedup.deduplicate` exactly; see :mod:`.dedup` for the
-        argument.
+        ascending pass over the spilled survivors, deciding each through
+        :meth:`~.dedup.DedupReport.decide` — the decisions (and the
+        candidate-pairs-checked count) equal :func:`~.dedup.deduplicate`
+        exactly; :func:`~.dedup.band_candidate_pairs` says why.
 
         The pair set is never materialised in this process: each
         partition's pairs arrive (later, earlier)-sorted from disk and
         ``heapq.merge`` hands the resolve loop one index's candidates at
         a time.  Parent-side dedup state is the per-earlier reference
-        counts (ints), the keep/drop verdicts, and the shingle sets
-        (plus family metadata) still awaited by unresolved pairs.
+        counts (ints), the drop decisions, and the shingle sets (plus
+        family metadata) of kept files still awaited by unresolved
+        pairs.
 
-        Also merges the workers' partial union-find forests into the
-        global LSH collision forest, records the verified similarity of
-        every drop decision, and captures path/origin/module metadata
-        for each family member at decision time — the same family
-        inputs the in-memory reduce derives.
+        Also merges the workers' partial collision forests into the
+        global one and captures path/origin/module metadata for each
+        family member at decision time — the same family inputs the
+        in-memory reduce derives.
         """
         results = run.executor.map(_partition_pairs,
                                    run.shuffle.worker_args())
@@ -912,19 +914,18 @@ class CurationPipeline:
             key=lambda pair: (pair[1], pair[0]))
         pending = next(merged, None)
 
+        # Shingle sets and metadata of referenced *kept* files only: a
+        # candidate is still kept exactly when its shingles are held.
         shingles: Dict[int, Any] = {}
         kept_meta: Dict[int, Dict[str, Any]] = {}
-        kept_status: Dict[int, bool] = {}
-        duplicate_of: Dict[int, int] = {}
-        similarities: Dict[int, float] = {}
+        report = DedupReport()
         family_meta: Dict[int, Dict[str, Any]] = {}
-        pairs_checked = 0
         for batch in run.spill.iter_payloads():
             for index, content, provenance in batch:
                 referenced = index in refcount
                 # Drain this index's candidates from the merged stream:
                 # ascending by earlier, cross-partition duplicates
-                # collapsed for the decision loop but decremented raw.
+                # collapsed for the decision but decremented raw.
                 candidates: List[int] = []
                 consumed: List[int] = []
                 while pending is not None and pending[1] <= index:
@@ -936,19 +937,15 @@ class CurationPipeline:
                     pending = next(merged, None)
                 own_shingles = (tokenize_for_dedup(content)
                                 if (referenced or candidates) else None)
-                duplicate = None
-                similarity = 0.0
-                for candidate in candidates:  # ascending
-                    if not kept_status.get(candidate, False):
-                        continue
-                    pairs_checked += 1
-                    similarity = jaccard(own_shingles, shingles[candidate])
-                    if similarity >= self.dedup_threshold:
-                        duplicate = candidate
-                        break
-                if duplicate is not None:
+                dropped = report.decide(
+                    index, own_shingles,
+                    ((candidate, shingles[candidate])
+                     for candidate in candidates if candidate in shingles),
+                    self.dedup_threshold)
+                if dropped:
                     # Capture family metadata now, while the canonical's
                     # refcounted state is guaranteed to still be alive.
+                    duplicate = report.duplicate_of[index]
                     family_meta[index] = {
                         "path": provenance["path"],
                         "origin": provenance["origin"],
@@ -961,17 +958,9 @@ class CurationPipeline:
                         refcount.pop(candidate, None)
                         shingles.pop(candidate, None)
                         kept_meta.pop(candidate, None)
-                        kept_status.pop(candidate, None)
                     else:
                         refcount[candidate] = remaining
-                if duplicate is not None:
-                    duplicate_of[index] = duplicate
-                    similarities[index] = similarity
-                    if referenced:
-                        kept_status[index] = False
-                    continue
-                if referenced:
-                    kept_status[index] = True
+                if referenced and not dropped:
                     shingles[index] = own_shingles
                     kept_meta[index] = {
                         "path": provenance["path"],
@@ -979,9 +968,10 @@ class CurationPipeline:
                         "modules": module_names(content)}
         run.shuffle.cleanup()
         family_index = FamilyIndex.build(
-            duplicate_of, similarities, forest, family_meta,
+            report.duplicate_of, report.similarities, forest, family_meta,
             seed=self.seed, threshold=self.dedup_threshold)
-        return duplicate_of, pairs_checked, family_index
+        return (report.duplicate_of, report.candidate_pairs_checked,
+                family_index)
 
     def _label_phase(self, run: _Run, duplicates: Collection[int],
                      family_index: FamilyIndex,

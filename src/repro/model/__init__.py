@@ -1,6 +1,7 @@
 """Trainable models: the retrieval-augmented conditional generator,
 the numpy transformer, tokenizers, the weighted n-gram LM, and the
-compiler-feedback repair loop."""
+compiler-feedback repair rules (:mod:`.repair`; the loop that applies
+them is :class:`repro.repairloop.RepairLoop`)."""
 
 from .interfaces import FineTunable, TrainStats, TrainingExample
 from .tokenizer import Vocabulary, detokenize, tokenize_code, tokenize_text
@@ -15,7 +16,6 @@ from .generator import (
     extract_param_hints,
 )
 from .tinyformer import TinyTransformer, TransformerConfig
-from .repair import RepairResult, repair
 from .registry import PUBLISHED_CONFIGS, build_registry, render_table2
 
 __all__ = [
@@ -26,6 +26,5 @@ __all__ = [
     "CODELLAMA_7B", "CODELLAMA_13B", "DEEPSEEK_7B",
     "extract_param_hints",
     "TinyTransformer", "TransformerConfig",
-    "RepairResult", "repair",
     "PUBLISHED_CONFIGS", "build_registry", "render_table2",
 ]

@@ -1,24 +1,21 @@
-"""Compiler-feedback syntax repair (OriGen's self-reflection mechanism).
+"""Compiler-feedback syntax repair rules (OriGen's self-reflection).
 
 OriGen's second LoRA model consumes compiler error reports and rewrites
 the code.  Our stand-in is a rule-based fixer driven by the diagnostics
-of :func:`repro.verilog.check`: each iteration reads the first syntax
-error and applies the matching textual remedy (insert the missing
-semicolon, close an unbalanced ``begin``, restore a dropped
-``endmodule``, strip garbage bytes, fix keyword typos), then re-checks.
-It repairs exactly the classes of damage LLM sampling and the corpus
-mutators introduce, and reports what it did.
+of :func:`repro.verilog.check`: :func:`self_reflect_once` reads one
+syntax error and applies the matching textual remedy (insert the
+missing semicolon, close an unbalanced ``begin``, restore a dropped
+``endmodule``, strip garbage bytes, fix keyword typos).  It repairs
+exactly the classes of damage LLM sampling and the corpus mutators
+introduce.  The check → remedy → re-check loop around it is
+:class:`repro.repairloop.RepairLoop` with its
+:class:`~repro.repairloop.RuleBasedRepairer`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-from ..obs.reportable import report_json, strip_schema
-from ..verilog import check
-from ..verilog.syntax_checker import CheckResult
+from typing import List, Optional, Tuple
 
 _KEYWORD_TYPOS = {
     "begn": "begin", "bgin": "begin", "endmodul": "endmodule",
@@ -27,42 +24,6 @@ _KEYWORD_TYPOS = {
 }
 
 _GARBAGE_RE = re.compile(r"[@#%$&]{2,}|[^\x09\x0a\x0d\x20-\x7e]+")
-
-
-@dataclass
-class RepairResult:
-    """Outcome of a repair session (:class:`~repro.obs.Reportable`)."""
-
-    schema = "pyranet/repair-result/v1"
-
-    code: str
-    fixed: bool
-    iterations: int = 0
-    actions: List[str] = field(default_factory=list)
-    final_status: str = "syntax"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "code": self.code,
-            "fixed": self.fixed,
-            "iterations": self.iterations,
-            "actions": list(self.actions),
-            "final_status": self.final_status,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RepairResult":
-        data = strip_schema(data)
-        return cls(
-            code=data["code"],
-            fixed=data["fixed"],
-            iterations=data.get("iterations", 0),
-            actions=list(data.get("actions", [])),
-            final_status=data.get("final_status", "syntax"),
-        )
 
 
 #: Line endings a ``;`` must never be appended after.
@@ -144,38 +105,6 @@ def _close_dangling_paren(code: str, line: int) -> Optional[str]:
         lines[target] = lines[target] + ")" * (opens - closes)
         return "\n".join(lines)
     return None
-
-
-def repair(code: str, max_iterations: int = 4) -> RepairResult:
-    """Iteratively repair ``code`` using compiler feedback.
-
-    Returns the best attempt; ``fixed`` is True when the final check
-    reports no syntax errors (dependency issues are acceptable — they
-    are not the repair model's job).
-    """
-    result = RepairResult(code=code, fixed=False)
-    current = code
-    for iteration in range(max_iterations):
-        report: CheckResult = check(current)
-        if report.status != "syntax":
-            result.code = current
-            result.fixed = True
-            result.iterations = iteration
-            result.final_status = report.status
-            return result
-        error = report.syntax_errors[0]
-        attempt = self_reflect_once(current, error.message, error.line,
-                                    getattr(error, "column", 0))
-        if attempt is None or attempt[0] == current:
-            break
-        current, action = attempt
-        result.actions.append(action)
-    final = check(current)
-    result.code = current
-    result.fixed = final.status != "syntax"
-    result.iterations = max_iterations
-    result.final_status = final.status
-    return result
 
 
 def self_reflect_once(

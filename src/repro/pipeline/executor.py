@@ -88,31 +88,18 @@ class ParallelExecutor:
     ) -> List[Any]:
         """``[fn(x) for x in items]``, possibly in parallel.
 
-        Results always come back in input order.  Exceptions raised by
-        ``fn`` propagate; infrastructure failures (pool creation,
-        pickling) degrade to the serial path.
+        Results always come back in input order.  Items go to the pool
+        in chunks (:attr:`chunk_size`), all submitted at once.  Failure
+        semantics are :meth:`stream_map`'s.
         """
         self.fell_back = False
         items = list(items)
         if self.mode == "serial" or len(items) <= 1:
             return [fn(item) for item in items]
-        try:
-            return self._pool_map(fn, items)
-        except Exception as exc:
-            # Process pools fail on unpicklable work (closures, local
-            # functions) in mode-specific ways — PicklingError,
-            # AttributeError, BrokenProcessPool — and either pool can
-            # hit resource limits at creation.  Degrade to serial for
-            # those; let genuine errors raised by ``fn`` propagate
-            # (thread pools add no serialisation failure modes, so in
-            # thread mode only infrastructure errors are swallowed).
-            # Note a SimulatedCrash from fault injection is a
-            # BaseException and tears straight through this handler.
-            if self.mode == "thread" and not isinstance(
-                    exc, (OSError, RuntimeError)):
-                raise
-            self.fell_back = True
-            return [fn(item) for item in items]
+        chunks = self._chunks(items)
+        return [result
+                for chunk in self._chunk_stream(fn, chunks, len(chunks))
+                for result in chunk]
 
     def stream_map(
         self,
@@ -130,135 +117,119 @@ class ParallelExecutor:
         chunking would only add latency).  Results come back strictly
         in input order.
 
-        Failure semantics mirror :meth:`map`: exceptions raised by
-        ``fn`` propagate in thread mode; infrastructure failures (pool
-        creation, pickling, a broken process pool) flip
-        :attr:`fell_back` and the remainder of the stream is computed
-        serially in this process.  The attached :attr:`tracer` is
-        honoured: each in-pool item runs inside a ``worker[i]`` span
-        exactly like pooled chunks in :meth:`map`.
+        Failures: exceptions raised by ``fn`` propagate in thread mode;
+        infrastructure failures (pool creation, pickling, a broken
+        process pool) flip :attr:`fell_back`, and the failed task, any
+        in-flight task that also fails, and the rest of the input are
+        computed serially in this process.  Results the pool already
+        delivered are kept.
         """
         self.fell_back = False
-        iterator = iter(iterable)
         if self.mode == "serial":
-            for item in iterator:
+            for item in iterable:
                 yield fn(item)
             return
-        if window is None:
-            window = self.max_workers * 2
-        window = max(1, window)
+        window = max(1, window if window is not None
+                     else self.max_workers * 2)
+        for results in self._chunk_stream(
+                fn, ([item] for item in iterable), window):
+            yield results[0]
+
+    def _chunk_stream(
+        self, fn: Callable[[Any], Any], chunks: Iterable[Sequence[Any]],
+        window: int,
+    ) -> Iterator[List[Any]]:
+        """The one pool driver: ``[fn(x) for x in chunk]`` per chunk, in
+        order, with at most ``window`` chunks submitted ahead of the
+        consumer.  With a tracer attached, chunk ``i`` runs inside a
+        ``worker[i]`` span."""
         pool_cls = (ThreadPoolExecutor if self.mode == "thread"
                     else ProcessPoolExecutor)
+        chunks = iter(chunks)
+        try:
+            pool = pool_cls(max_workers=min(self.max_workers, window))
+        except Exception as exc:
+            self._fall_back(exc)
+            for chunk in chunks:
+                yield _run_chunk((fn, chunk))
+            return
         tracer = self.tracer
         parent = tracer.current_context() if tracer is not None else None
-        try:
-            pool = pool_cls(max_workers=self.max_workers)
-        except (OSError, RuntimeError):
-            self.fell_back = True
-            for item in iterator:
-                yield fn(item)
-            return
+        broken = False
 
-        def submit(item: Any, index: int):
+        def submit(chunk: Sequence[Any], index: int) -> Any:
+            """The chunk's future, or None when the pool has broken."""
+            nonlocal broken
             if tracer is None:
-                return pool.submit(_run_chunk, (fn, [item]))
-            if self.mode == "thread":
-                return pool.submit(_run_chunk_thread_traced,
-                                   (fn, [item], tracer, parent, index))
-            return pool.submit(_run_chunk_process_traced,
-                               (fn, [item], parent, index))
+                runner, payload = _run_chunk, (fn, chunk)
+            elif self.mode == "thread":
+                # Pool threads share the tracer; the ambient span stack
+                # is thread-local, so the parent is passed explicitly.
+                runner = _run_chunk_thread_traced
+                payload = (fn, chunk, tracer, parent, index)
+            else:
+                # Workers can't share the tracer object: ship a
+                # picklable context, collect the spans with the results.
+                runner = _run_chunk_process_traced
+                payload = (fn, chunk, parent, index)
+            try:
+                return pool.submit(runner, payload)
+            except Exception as exc:
+                self._fall_back(exc)
+                broken = True
+                return None
 
-        def resolve(future: Any) -> Any:
-            out = future.result()
-            if tracer is not None and self.mode == "process":
-                results, spans = out
-                tracer.absorb(spans)
-                return results[0]
-            return out[0]
-
-        def infra_failure(exc: Exception) -> bool:
-            # Same split as map(): thread pools add no serialisation
-            # failure modes, so in thread mode only OSError/RuntimeError
-            # count as infrastructure; process-mode failures (pickling,
-            # BrokenProcessPool) all degrade to serial recompute.
-            return self.mode != "thread" or isinstance(
-                exc, (OSError, RuntimeError))
+        def settle(chunk: Sequence[Any], future: Any) -> List[Any]:
+            """The chunk's results, recomputed here if the pool failed."""
+            nonlocal broken
+            if future is not None:
+                try:
+                    out = future.result()
+                except Exception as exc:
+                    self._fall_back(exc)
+                    broken = True
+                else:
+                    if tracer is not None and self.mode == "process":
+                        results, spans = out
+                        tracer.absorb(spans)
+                        return results
+                    return out
+            return _run_chunk((fn, chunk))
 
         pending: "deque" = deque()
-        index = 0
-        exhausted = False
         try:
-            while True:
-                while not exhausted and len(pending) < window:
-                    try:
-                        item = next(iterator)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    pending.append((item, submit(item, index)))
-                    index += 1
-                if not pending:
-                    return
-                item, future = pending.popleft()
-                try:
-                    result = resolve(future)
-                except Exception as exc:
-                    if not infra_failure(exc):
-                        raise
-                    # The pool is suspect: recompute this item here,
-                    # settle whatever is already in flight, then finish
-                    # the stream serially.
-                    self.fell_back = True
-                    yield fn(item)
-                    while pending:
-                        flight_item, flight_future = pending.popleft()
-                        try:
-                            yield resolve(flight_future)
-                        except Exception as flight_exc:
-                            if not infra_failure(flight_exc):
-                                raise
-                            yield fn(flight_item)
-                    for item in iterator:
-                        yield fn(item)
-                    return
-                yield result
+            for index, chunk in enumerate(chunks):
+                pending.append((chunk, submit(chunk, index)))
+                if len(pending) >= window and not broken:
+                    yield settle(*pending.popleft())
+                if broken:
+                    # The pool is suspect: settle what is in flight,
+                    # then finish serially.
+                    break
+            while pending:
+                yield settle(*pending.popleft())
+            for chunk in chunks:
+                yield _run_chunk((fn, chunk))
         finally:
-            pool.shutdown(wait=False)
+            # Waits for chunks still in flight, so no work outlives the
+            # call — also when ``fn`` raised or the consumer stopped.
+            pool.shutdown(wait=True)
 
-    def _pool_map(
-        self, fn: Callable[[Any], Any], items: List[Any]
-    ) -> List[Any]:
-        pool_cls = (ThreadPoolExecutor if self.mode == "thread"
-                    else ProcessPoolExecutor)
-        chunks = self._chunks(items)
-        workers = min(self.max_workers, len(chunks))
-        tracer = self.tracer
-        if tracer is None:
-            runner: Callable[[tuple], Any] = _run_chunk
-            payloads: List[tuple] = [(fn, chunk) for chunk in chunks]
-        elif self.mode == "thread":
-            # Pool threads share the tracer; the ambient span stack is
-            # thread-local, so the parent is passed explicitly.
-            parent = tracer.current_context()
-            runner = _run_chunk_thread_traced
-            payloads = [(fn, chunk, tracer, parent, index)
-                        for index, chunk in enumerate(chunks)]
-        else:
-            # Workers can't share the tracer object: ship a picklable
-            # context, collect the spans with the results.
-            parent = tracer.current_context()
-            runner = _run_chunk_process_traced
-            payloads = [(fn, chunk, parent, index)
-                        for index, chunk in enumerate(chunks)]
-        with pool_cls(max_workers=workers) as pool:
-            chunk_results = list(pool.map(runner, payloads))
-        if tracer is not None and self.mode == "process":
-            unwrapped = []
-            for results, spans in chunk_results:
-                tracer.absorb(spans)
-                unwrapped.append(results)
-            chunk_results = unwrapped
-        return [result for chunk in chunk_results for result in chunk]
+    def _fall_back(self, exc: Exception) -> None:
+        """Degrade to serial for an infrastructure failure; re-raise
+        anything else.  Process pools fail on unpicklable work
+        (closures, local functions) in mode-specific ways —
+        PicklingError, AttributeError, BrokenProcessPool — so every
+        process-mode failure degrades (``fn``'s own errors then recur in
+        the serial recompute).  Thread pools add no serialisation
+        failure modes, so in thread mode only OSError/RuntimeError
+        (resource limits) count as infrastructure and ``fn``'s errors
+        propagate.  A SimulatedCrash from fault injection is a
+        BaseException and tears straight through."""
+        if self.mode == "thread" and not isinstance(
+                exc, (OSError, RuntimeError)):
+            raise exc
+        self.fell_back = True
 
 
 @contextlib.contextmanager

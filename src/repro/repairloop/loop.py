@@ -38,8 +38,7 @@ ITERATION_SITE = "repair.iteration"
 _STAGE = "repair.loop"
 
 #: Statuses that count as success when no functional spec is given
-#: (dependency issues are not the repairer's job — mirrors
-#: :func:`repro.model.repair.repair`).
+#: (dependency issues are not the repairer's job).
 _SYNTAX_OK = ("clean", "dependency")
 
 
@@ -80,7 +79,7 @@ class Repairer(Protocol):
 
 
 class RuleBasedRepairer:
-    """The :mod:`repro.model.repair` fixer behind the protocol: one
+    """The :mod:`repro.model.repair` rules behind the protocol: one
     textual remedy per syntax diagnostic, nothing for functional or
     dependency failures."""
 

@@ -23,8 +23,7 @@ tripped, and resumed.
 
 from .atomic import atomic_write_bytes, fsync_dir
 from .checkpoint import Checkpointer, ResumeState, run_signature
-from .errors import (CheckpointError, CircuitOpenError, DeadlineExceeded,
-                     ResilienceError)
+from .errors import CheckpointError, CircuitOpenError, ResilienceError
 from .faults import (FaultPlan, FaultRule, SimulatedCrash, TransientFault,
                      flip_shard_byte, register_fault_exception)
 from .retry import (BreakerConfig, CircuitBreaker, NO_RETRY, NullBreaker,
@@ -39,7 +38,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "DeadLetterReport",
-    "DeadlineExceeded",
     "FaultPlan",
     "FaultRule",
     "NO_RETRY",

@@ -7,23 +7,6 @@ class ResilienceError(Exception):
     """Base class for every resilience-runtime failure."""
 
 
-class DeadlineExceeded(ResilienceError):
-    """An attempt ran past its per-attempt deadline.
-
-    The check is cooperative: the attempt is timed and the error raised
-    *after* it returns (pure-Python work cannot be preempted), so a
-    too-slow attempt is discarded and retried like any other failure.
-    """
-
-    def __init__(self, site: str, elapsed_s: float, deadline_s: float) -> None:
-        self.site = site
-        self.elapsed_s = elapsed_s
-        self.deadline_s = deadline_s
-        super().__init__(
-            f"{site or '<call>'}: attempt took {elapsed_s:.4f}s "
-            f"(deadline {deadline_s:.4f}s)")
-
-
 class CircuitOpenError(ResilienceError):
     """A call was rejected because its circuit breaker is open."""
 

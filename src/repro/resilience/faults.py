@@ -12,8 +12,9 @@ Fault kinds:
 * ``raise`` — raise a registered exception class at the scheduled
   attempt (transient when the next ordinal is clean, persistent when
   every ordinal matches);
-* ``delay`` — sleep before the attempt runs (drives per-attempt
-  deadline handling);
+* ``delay`` — sleep before the attempt runs (a slow call changes
+  timing, never results; drills use it to widen the window a kill can
+  land in);
 * ``crash`` — raise :class:`SimulatedCrash`, a ``BaseException`` that
   models ``kill -9`` mid-run: no retry or quarantine machinery may
   absorb it, so the run dies at an exact record boundary and the

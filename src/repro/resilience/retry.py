@@ -4,8 +4,8 @@
 retry: attempt budget, exponential backoff with **seeded deterministic
 jitter** (the jitter for attempt *k* at site *s* is a pure function of
 ``(seed, s, k)``, so two runs of the same plan sleep identically and
-tests can assert exact schedules), exception-class filters, and an
-optional cooperative per-attempt deadline.
+tests can assert exact schedules), and exception-class filters.
+Budgets are counted in attempts, never wall time.
 
 :class:`CircuitBreaker` is the companion for *persistent* failures: a
 site that keeps failing trips the breaker open, later calls are
@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, replace
 from threading import Lock
 from typing import Any, Callable, Dict, Optional, Tuple, Type
-
-from .errors import DeadlineExceeded
 
 #: Breaker states.
 CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
@@ -56,9 +54,6 @@ class RetryPolicy:
             the call immediately.
         give_up_on: exception classes never retried even if they match
             ``retry_on`` (checked first).
-        deadline_s: cooperative per-attempt deadline — an attempt that
-            returns after this long is discarded as
-            :class:`DeadlineExceeded` and retried.
     """
 
     max_attempts: int = 3
@@ -69,7 +64,6 @@ class RetryPolicy:
     seed: int = 0
     retry_on: Tuple[Type[BaseException], ...] = (Exception,)
     give_up_on: Tuple[Type[BaseException], ...] = ()
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -114,20 +108,12 @@ class RetryPolicy:
         """
         last: Optional[BaseException] = None
         for attempt in range(1, self.max_attempts + 1):
-            started = time.perf_counter()
             try:
-                result = fn()
+                return fn(), attempt
             except Exception as exc:
                 if self.classify(exc) == "fatal":
                     raise
                 last = exc
-            else:
-                elapsed = time.perf_counter() - started
-                if (self.deadline_s is not None
-                        and elapsed > self.deadline_s):
-                    last = DeadlineExceeded(site, elapsed, self.deadline_s)
-                else:
-                    return result, attempt
             if attempt < self.max_attempts:
                 if on_retry is not None:
                     on_retry(attempt, last)

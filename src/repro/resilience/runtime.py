@@ -116,10 +116,8 @@ class _GuardedFn:
                 site=self.site, error_type="CircuitOpenError",
                 error=f"circuit open for {self.site!r}", attempts=0,
                 value_repr=_clip(value), value_digest=_value_digest(value))
-        if self.policy.deadline_s is not None:
-            return self._call_with_deadline(value)
         # Fast path: one bare call.  A fault-free record pays only this
-        # try/except — no retry-loop bookkeeping, no clock reads.
+        # try/except — no retry-loop bookkeeping.
         try:
             result = self.fn(value)
         except Exception as exc:
@@ -156,32 +154,6 @@ class _GuardedFn:
             if self.breaker is not None:
                 self.breaker.record_success()
             return Retried(result, attempt - 1)
-
-    def _call_with_deadline(self, value: Any) -> Any:
-        """The general path: :meth:`RetryPolicy.run` times every attempt
-        against the policy's cooperative deadline."""
-        retries = 0
-
-        def on_retry(attempt: int, exc: BaseException) -> None:
-            nonlocal retries
-            retries += 1
-
-        try:
-            result, _attempts = self.policy.run(
-                lambda: self.fn(value), site=self.site, sleep=self.sleep,
-                on_retry=on_retry)
-        except Exception as exc:
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            return Quarantined(
-                site=self.site, error_type=type(exc).__name__,
-                error=str(exc), attempts=retries + 1,
-                value_repr=_clip(value), value_digest=_value_digest(value))
-        if self.breaker is not None:
-            self.breaker.record_success()
-        if retries:
-            return Retried(result, retries)
-        return result
 
 
 class StageShield:

@@ -26,11 +26,7 @@ See ``examples/serve.py`` for the runnable quickstart.
 
 from .core import PyraNetService, UnknownJobError, UnknownStoreError
 from .client import ServiceClient, ServiceError
-from .handlers import (
-    JobContext,
-    dataset_digest,
-    register_handler,
-)
+from .handlers import JobContext, dataset_digest
 from .http import ServiceHTTPServer, serve, serve_in_thread
 from .jobs import (
     Job,
@@ -65,7 +61,6 @@ __all__ = [
     "job_id_for",
     "job_type_names",
     "params_digest",
-    "register_handler",
     "register_job_type",
     "serve",
     "serve_in_thread",

@@ -28,7 +28,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from ..obs import Observability
 from ..pipeline import ParallelExecutor
@@ -431,15 +431,6 @@ def run_formal_job(job: Job, ctx: JobContext,
 
 
 # -- registration -------------------------------------------------------
-
-
-def register_handler(
-    name: str,
-    handler: Callable[[Job, JobContext, Observability], Dict[str, Any]],
-) -> None:
-    """Make ``name`` submittable as a job type (schema-less; prefer
-    :func:`repro.service.jobs.register_job_type` for new types)."""
-    register_job_type(name, handler)
 
 
 _COMMON_SCHEMA = {

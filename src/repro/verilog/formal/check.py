@@ -41,12 +41,8 @@ from ..sim.design import (
     Signal,
     TimedAlwaysProcess,
 )
-from ..sim.runtime import build_library
-from ..sim.elaborate import (
-    collect_lvalue_index_reads,
-    collect_reads,
-    elaborate,
-)
+from ..sim.runtime import elaborate_source
+from ..sim.elaborate import collect_lvalue_index_reads, collect_reads
 from .bdd import FALSE, TRUE, BDDBudgetError, BDDManager, DEFAULT_NODE_BUDGET
 from .sym import (
     FormalUnsupported,
@@ -453,11 +449,7 @@ class DesignModel:
 def _as_design(source: DesignLike, top: Optional[str] = None) -> Design:
     if isinstance(source, Design):
         return source
-    library = build_library(source)
-    if not library:
-        raise ElaborationError("no modules in source")
-    name = top if top is not None else list(library)[-1]
-    return elaborate(library, name)
+    return elaborate_source(source, top)
 
 
 def _error_report(mode: str, exc: Exception, bound: int = 0) -> FormalReport:

@@ -48,9 +48,8 @@ from ..pipeline.cache import content_key
 from ..pipeline.diskcache import DiskCache
 from . import ast_nodes as ast
 from .parser import ACTIVE_MEMO, Parser, ParseError
-from .sim.design import Design, ElaborationError
-from .sim.elaborate import elaborate
-from .sim.runtime import build_library
+from .sim.design import Design
+from .sim.runtime import elaborate_source
 
 #: Bump when Design layout or elaboration semantics change; stale
 #: persistent entries then miss instead of deserialising garbage.
@@ -128,11 +127,8 @@ class FrontEndMemo:
             return design
         counts[1] += 1
         with self.scope():
-            library = build_library(source)
-        if not library:
-            raise ElaborationError("no modules in source")
-        name = top if top is not None else list(library)[-1]
-        design = self._designs[key] = elaborate(library, name, params)
+            design = self._designs[key] = elaborate_source(source, top,
+                                                           params)
         if self.disk is not None:
             self.disk.put(key, design)
         return design

@@ -61,6 +61,19 @@ def build_library(sources: SourceLike) -> Dict[str, ast.Module]:
     return library
 
 
+def elaborate_source(sources: SourceLike, top: Optional[str] = None,
+                     params: Optional[Dict[str, int]] = None) -> Design:
+    """The flat design of ``top`` in ``sources`` — the last module
+    parsed when ``top`` is None — with ``params`` overriding the top
+    module's parameters."""
+    library = build_library(sources)
+    if not library:
+        raise ElaborationError("no modules in source")
+    if top is None:
+        top = next(reversed(library))
+    return elaborate(library, top, params)
+
+
 class Simulator:
     """A ready-to-run simulation of one top-level module.
 
@@ -78,12 +91,7 @@ class Simulator:
         params: Optional[Dict[str, int]] = None,
         seed: int = 0,
     ) -> None:
-        library = build_library(sources)
-        if not library:
-            raise ElaborationError("no modules in source")
-        if top is None:
-            top = next(reversed(library))
-        self.design: Design = elaborate(library, top, params)
+        self.design: Design = elaborate_source(sources, top, params)
         self.kernel = Kernel(self.design, seed=seed)
         self.kernel.initialize()
 

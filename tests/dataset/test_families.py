@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import GitHubScrapeSimulator
-from repro.dataset.dedup import MinHasher, deduplicate
+from repro.dataset.dedup import (MinHasher, deduplicate, signature_band_keys,
+                                 tokenize_for_dedup)
 from repro.dataset.families import (
     LSH_BUCKET,
     NAME_PATTERN,
@@ -27,7 +28,6 @@ from repro.dataset.families import (
     build_family_artifacts,
     collision_forest,
     family_id_for,
-    forest_from_pairs,
     module_names,
     name_pattern_evidence,
 )
@@ -64,6 +64,15 @@ def _variant_codes():
     ]
 
 
+def _emissions():
+    """``(band key, index)`` emissions over a dozen keys in four bands,
+    so indices collide often."""
+    return st.lists(
+        st.tuples(st.integers(0, 11), st.integers(0, 30)), max_size=60,
+    ).map(lambda raw: [((key % 4, f"k{key}"), index)
+                       for key, index in raw])
+
+
 class TestFamilyForest:
     def test_representative_is_minimum_index(self):
         forest = FamilyForest()
@@ -73,44 +82,46 @@ class TestFamilyForest:
         assert forest.component_size_of(9) == 3
         assert forest.component_size_of(42) == 1
 
-    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
-                    max_size=60),
-           st.randoms(use_true_random=False))
+    @given(_emissions(), st.randoms(use_true_random=False))
     @settings(deadline=None)
-    def test_compressed_is_union_order_independent(self, pairs, rng):
-        forward = forest_from_pairs(pairs)
-        shuffled = list(pairs)
+    def test_compressed_is_union_order_independent(self, emissions, rng):
+        forward = collision_forest(emissions)
+        shuffled = list(emissions)
         rng.shuffle(shuffled)
-        backward = forest_from_pairs(
-            [(b, a) for a, b in shuffled])
+        backward = collision_forest(shuffled)
         assert forward.compressed() == backward.compressed()
         assert forward.component_sizes() == backward.component_sizes()
 
-    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)),
-                    max_size=60),
-           st.integers(1, 8))
+    @given(_emissions(), st.integers(1, 8), st.integers(0, 1000))
     @settings(deadline=None)
-    def test_partitioned_merge_equals_global_forest(self, pairs,
-                                                    n_partitions):
-        """Worker-side partial forests merged parent-side reconstruct
-        the global forest for *any* partitioning of the pair set —
-        the streaming/in-memory identity in miniature."""
-        whole = forest_from_pairs(pairs)
+    def test_partitioned_merge_equals_global_forest(self, emissions,
+                                                    n_partitions,
+                                                    assignment_seed):
+        """Partial forests over the emissions of each partition of the
+        band keys, merged parent-side, reconstruct the global forest
+        for *any* key → partition assignment — the spilled/in-memory
+        identity in miniature."""
+        def partition_of(key):
+            return random.Random(
+                f"{assignment_seed}:{key}").randrange(n_partitions)
+
+        whole = collision_forest(emissions)
         merged = FamilyForest()
         for part in range(n_partitions):
-            partial = forest_from_pairs(
-                [pair for i, pair in enumerate(pairs)
-                 if i % n_partitions == part])
+            partial = collision_forest(
+                [(key, index) for key, index in emissions
+                 if partition_of(key) == part])
             merged.merge(partial.compressed())
         assert merged.compressed() == whole.compressed()
+        assert merged.component_sizes() == whole.component_sizes()
 
     def test_collision_forest_joins_band_collisions(self):
         codes = _variant_codes()
         hasher = MinHasher(64)
-        from repro.dataset.dedup import tokenize_for_dedup
-        signatures = [hasher.signature(tokenize_for_dedup(code))
-                      for code in codes]
-        forest = collision_forest(signatures, bands=16)
+        forest = collision_forest(
+            (key, index) for index, code in enumerate(codes)
+            for key in signature_band_keys(
+                hasher.signature(tokenize_for_dedup(code)), 16))
         assert forest.find(3) == forest.find(4) == forest.find(0) == 0
         assert forest.find(6) == forest.find(1) == 1
         assert forest.find(2) != forest.find(0)

@@ -1,12 +1,16 @@
-"""Tests for the compiler-feedback repair loop."""
+"""The compiler-feedback repair rules, driven by the repair loop.
+
+The rules live in :mod:`repro.model.repair`; the loop that applies them
+is :class:`repro.repairloop.RepairLoop` with its rule-based repairer,
+here at budget 4.
+"""
 
 import random
 
-import pytest
-
 from repro.corpus import mutate
 from repro.corpus.templates import generate_design, generate_random_design
-from repro.model.repair import RepairResult, _insert_semicolon, repair
+from repro.model.repair import _insert_semicolon
+from repro.repairloop import RepairLoop
 from repro.verilog import check
 
 
@@ -14,36 +18,40 @@ def _clean(seed=0):
     return generate_design("up_counter", random.Random(seed)).source
 
 
+def repair(code, budget=4):
+    return RepairLoop(budget=budget).run(code)
+
+
 class TestRepairRules:
     def test_already_clean_untouched(self):
         source = _clean()
         result = repair(source)
         assert result.fixed
-        assert result.code == source
-        assert result.iterations == 0
+        assert result.final_code == source
+        assert result.n_iterations() == 0
 
     def test_restores_missing_endmodule(self):
         broken = _clean().replace("endmodule", "")
         result = repair(broken)
-        assert result.fixed, result.actions
-        assert check(result.code).status != "syntax"
+        assert result.fixed, result.actions()
+        assert check(result.final_code).status != "syntax"
 
     def test_fixes_begin_typo(self):
         broken = _clean().replace("begin", "begn", 1)
         result = repair(broken)
-        assert result.fixed, result.actions
+        assert result.fixed, result.actions()
 
     def test_strips_garbage(self):
         source = _clean()
         broken = source[:40] + " @@ %% ## " + source[40:]
         result = repair(broken)
-        assert result.fixed, result.actions
+        assert result.fixed, result.actions()
 
     def test_inserts_missing_semicolon(self):
         source = "module m(input a, output y);\n  assign y = ~a\nendmodule\n"
         result = repair(source)
-        assert result.fixed, result.actions
-        assert check(result.code).status == "clean"
+        assert result.fixed, result.actions()
+        assert check(result.final_code).status == "clean"
 
     def test_dependency_issue_is_acceptable(self):
         source = ("module m(input a, output y);\n"
@@ -53,7 +61,7 @@ class TestRepairRules:
         assert result.final_status == "dependency"
 
     def test_gives_up_on_hopeless_input(self):
-        result = repair(")))((( nonsense", max_iterations=3)
+        result = repair(")))((( nonsense", budget=3)
         assert not result.fixed
 
 
@@ -68,8 +76,8 @@ class TestInsertSemicolon:
         diag = report.diagnostics[0]
         assert diag.line == 1 and diag.column > 1
         result = repair(code)
-        assert result.fixed, result.actions
-        assert check(result.code).status == "clean"
+        assert result.fixed, result.actions()
+        assert check(result.final_code).status == "clean"
 
     def test_column_splices_within_line(self):
         code = "module m(input a, output y); assign y = a endmodule\n"
@@ -91,28 +99,6 @@ class TestInsertSemicolon:
     def test_never_doubles_a_semicolon(self):
         code = "module m(input a, output y);\n  assign y = a;\nendmodule\n"
         assert _insert_semicolon(code, 3, 0) is None
-
-
-class TestRepairResultReport:
-    def test_round_trip(self):
-        result = RepairResult(
-            code="module m; endmodule", fixed=True, iterations=2,
-            actions=["insert_semicolon", "strip_garbage"],
-            final_status="clean")
-        again = RepairResult.from_dict(result.to_dict())
-        assert again.to_json() == result.to_json()
-
-    def test_golden_bytes(self):
-        result = RepairResult(
-            code="module m; endmodule", fixed=True, iterations=2,
-            actions=["insert_semicolon"], final_status="clean")
-        assert result.to_json() == (
-            '{"actions": ["insert_semicolon"], '
-            '"code": "module m; endmodule", '
-            '"final_status": "clean", "fixed": true, "iterations": 2}')
-
-    def test_schema_identifier(self):
-        assert RepairResult.schema == "pyranet/repair-result/v1"
 
 
 class TestRepairOverMutations:

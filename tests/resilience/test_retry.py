@@ -5,7 +5,6 @@ import pytest
 from repro.resilience import (
     BreakerConfig,
     CircuitBreaker,
-    DeadlineExceeded,
     NO_RETRY,
     NullBreaker,
     RetryPolicy,
@@ -85,21 +84,6 @@ class TestRetryPolicy:
         assert a.delay_s("site", 1) != a.delay_s("other", 1)
         # Jitter only ever shortens the nominal delay.
         assert 0.5 <= a.delay_s("site", 1) <= 1.0
-
-    def test_deadline_exceeded(self):
-        # A zero deadline dooms every attempt: the result returned after
-        # the cut-off is discarded as DeadlineExceeded and retried.
-        calls = {"n": 0}
-
-        def slow():
-            calls["n"] += 1
-            return "late"
-
-        policy = RetryPolicy(max_attempts=2, base_delay_s=0.0,
-                             deadline_s=0.0)
-        with pytest.raises(DeadlineExceeded):
-            policy.run(slow, site="s", sleep=lambda _: None)
-        assert calls["n"] == 2
 
     def test_with_override(self):
         policy = RetryPolicy(max_attempts=3)

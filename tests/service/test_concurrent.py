@@ -40,13 +40,13 @@ class TestRacingSubmitters:
         service = PyraNetService(tmp_path, n_workers=4, obs=obs,
                                  durable=False)
         calls = []
-        from repro.service import register_handler, unregister_job_type
+        from repro.service import register_job_type, unregister_job_type
 
         def counting(job, ctx, job_obs):
             calls.append(job.job_id)
             return {"ok": True}
 
-        register_handler("count-test", counting)
+        register_job_type("count-test", counting)
         try:
             results = in_threads(
                 lambda i: service.submit("count-test", {"x": 1},

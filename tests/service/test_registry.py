@@ -7,7 +7,6 @@ from repro.service import (
     PyraNetService,
     get_job_type,
     job_type_names,
-    register_handler,
     register_job_type,
     unregister_job_type,
     validate_payload,
@@ -43,12 +42,12 @@ class TestRegistry:
             unregister_job_type("reg-test")
         assert get_job_type("reg-test") is None
 
-    def test_register_handler_is_schema_less_registration(self):
-        register_handler("legacy-test", _runner)
+    def test_registration_without_schema_is_schema_less(self):
+        register_job_type("schema-less-test", _runner)
         try:
-            assert get_job_type("legacy-test").payload_schema == {}
+            assert get_job_type("schema-less-test").payload_schema == {}
         finally:
-            unregister_job_type("legacy-test")
+            unregister_job_type("schema-less-test")
 
 
 class TestPayloadValidation:

@@ -7,7 +7,7 @@ from repro.service import (
     PyraNetService,
     UnknownJobError,
     UnknownStoreError,
-    register_handler,
+    register_job_type,
     unregister_job_type,
 )
 
@@ -71,7 +71,7 @@ class TestQuarantine:
         def explode(job, ctx, obs):
             raise RuntimeError("poisoned payload")
 
-        register_handler("explode-test", explode)
+        register_job_type("explode-test", explode)
         try:
             bad = service.submit("explode-test", {})
             good = service.submit("probe", {"spin": 1})
@@ -88,7 +88,7 @@ class TestQuarantine:
         def explode(job, ctx, obs):
             raise RuntimeError("always broken")
 
-        register_handler("explode-test", explode)
+        register_job_type("explode-test", explode)
         try:
             sub = service.submit("explode-test", {})
             run_all(service)
@@ -111,7 +111,7 @@ class TestQuarantine:
                 raise OSError("transient")
             return {"ok": True}
 
-        register_handler("flaky-test", flaky)
+        register_job_type("flaky-test", flaky)
         try:
             sub = service.submit("flaky-test", {})
             run_all(service)
