@@ -233,7 +233,7 @@ def deduplicate(
     bands: int = BANDS,
     hasher: Optional[MinHasher] = None,
     shingle_sets: Optional[Sequence[FrozenSet[str]]] = None,
-    signatures: Optional[Sequence[Tuple[int, ...]]] = None,
+    band_keys: Optional[Sequence[Sequence[BandKey]]] = None,
 ) -> DedupReport:
     """Drop near-duplicates by Jaccard threshold.
 
@@ -251,11 +251,12 @@ def deduplicate(
             can pin LSH behaviour against alternative signature
             schemes; candidate *verification* is always exact Jaccard,
             so the hasher only affects which pairs get checked.
-        shingle_sets / signatures: precomputed per-code shingle sets
-            and MinHash signatures (both or neither).  Callers that
-            need the signatures for other work — family clustering in
+        shingle_sets / band_keys: precomputed per-code shingle sets
+            and LSH band keys (:func:`signature_band_keys` of each
+            signature at ``bands``; both or neither).  Callers that
+            need the keys for other work — family clustering in
             :mod:`.families` — pass them in so no shingle is tokenised
-            or hashed twice.
+            or hashed, and no key derived, twice.
 
     Returns:
         A :class:`DedupReport` whose ``kept_indices`` preserve input
@@ -266,22 +267,22 @@ def deduplicate(
     n_perm = hasher.n_perm
     if n_perm % bands != 0:
         raise ValueError(f"bands={bands} must divide n_perm={n_perm}")
-    if (shingle_sets is None) != (signatures is None):
+    if (shingle_sets is None) != (band_keys is None):
         raise ValueError(
-            "pass shingle_sets and signatures together or not at all")
+            "pass shingle_sets and band_keys together or not at all")
     if shingle_sets is None:
         shingle_sets = [tokenize_for_dedup(code) for code in codes]
-        signatures = [hasher.signature(s) for s in shingle_sets]
-    elif len(shingle_sets) != len(codes) or len(signatures) != len(codes):
-        raise ValueError("precomputed shingle_sets/signatures must "
+        band_keys = [signature_band_keys(hasher.signature(s), bands)
+                     for s in shingle_sets]
+    elif len(shingle_sets) != len(codes) or len(band_keys) != len(codes):
+        raise ValueError("precomputed shingle_sets/band_keys must "
                          "cover every code")
 
     # Buckets hold kept indices only, so the candidates gathered from
     # them are exactly the earlier kept files sharing a band key.
     report = DedupReport()
     buckets: Dict[BandKey, List[int]] = {}
-    for index, signature in enumerate(signatures):
-        keys = signature_band_keys(signature, bands)
+    for index, keys in enumerate(band_keys):
         candidates: Set[int] = set()
         for key in keys:
             candidates.update(buckets.get(key, ()))

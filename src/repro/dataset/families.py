@@ -493,34 +493,35 @@ def build_family_artifacts(
     n_perm: int = N_PERM,
     bands: int = BANDS,
     shingle_sets: Optional[Sequence[FrozenSet[str]]] = None,
-    signatures: Optional[Sequence[Tuple[int, ...]]] = None,
+    band_keys: Optional[Sequence[Sequence[BandKey]]] = None,
 ) -> Tuple[DedupReport, FamilyIndex]:
-    """Dedup + family clustering off **one** set of signatures.
+    """Dedup + family clustering off **one** set of band keys.
 
-    Shingles are tokenised and MinHash-signed exactly once; the same
-    signatures drive the drop decisions (via the
-    ``deduplicate(shingle_sets=…, signatures=…)`` injection point) and
-    the collision forest.  ``indices`` are the ascending corpus indices
-    of ``codes``; ``meta_for(index)`` supplies the per-file metadata
-    (path/origin/modules) lazily — it is only called for indices that
-    end up in a family.  ``shingle_sets`` / ``signatures`` are as
-    :func:`~.dedup.deduplicate`'s: a caller that has already signed the
-    codes passes them in and nothing is tokenised or hashed here.
+    Shingles are tokenised and MinHash-signed, and each signature's
+    band keys derived, exactly once; the same keys drive the drop
+    decisions (via the ``deduplicate(shingle_sets=…, band_keys=…)``
+    injection point) and the collision forest.  ``indices`` are the
+    ascending corpus indices of ``codes``; ``meta_for(index)`` supplies
+    the per-file metadata (path/origin/modules) lazily — it is only
+    called for indices that end up in a family.  ``shingle_sets`` /
+    ``band_keys`` are as :func:`~.dedup.deduplicate`'s: a caller that
+    has already signed the codes passes them in and nothing is
+    tokenised or hashed here.
     """
     if list(indices) != sorted(indices):
         raise ValueError("indices must be ascending corpus indices")
     if hasher is None:
         hasher = MinHasher(n_perm)
-    if shingle_sets is None and signatures is None:
+    if shingle_sets is None and band_keys is None:
         shingle_sets = [tokenize_for_dedup(code) for code in codes]
-        signatures = [hasher.signature(shingles)
-                      for shingles in shingle_sets]
+        band_keys = [signature_band_keys(hasher.signature(shingles), bands)
+                     for shingles in shingle_sets]
     report = deduplicate(codes, threshold=threshold, bands=bands,
                          hasher=hasher, shingle_sets=shingle_sets,
-                         signatures=signatures)
+                         band_keys=band_keys)
     forest = collision_forest(
-        (key, index) for index, signature in zip(indices, signatures)
-        for key in signature_band_keys(signature, bands))
+        (key, index) for index, keys in zip(indices, band_keys)
+        for key in keys)
 
     # Translate batch positions to corpus indices.
     duplicate_of = {indices[later]: indices[earlier]

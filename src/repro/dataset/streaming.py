@@ -22,8 +22,9 @@ bounded batches, fanned out through
    :meth:`run_stream`, or a :class:`~repro.store.writer.ShardWriter`
    for :meth:`curate_to_store`, which never holds more than a shard.
 
-**The dedup reduce follows where the survivors live.**  In memory,
-phase 1 returns each survivor's shingle set and signature and
+**The dedup reduce follows where the survivors live.**  Phase 1 signs
+each survivor's band keys once.  In memory, it returns them with the
+survivor's shingle set and
 :func:`~.families.build_family_artifacts` runs the sequential
 :func:`~.dedup.deduplicate` and the collision forest over them.
 Spilled to disk, holding every shingle set at once would defeat the
@@ -126,6 +127,12 @@ STAGE_NAMES = ("empty_broken", "module_decl", "dedup", "syntax_check",
 
 #: Cache namespace of a record's label outcome.
 _LABEL_NAMESPACE = "curation/label"
+
+#: Part of every label outcome's cache key.  Bump when an outcome's
+#: answer changes (compile check, ranking, formal or description
+#: semantics); a persistent cache written before then misses instead of
+#: serving stale labels.
+LABEL_SCHEMA = "pyranet/curation-label/v1"
 
 _SourceRecord = Tuple[str, Dict[str, Any]]  # (content, provenance)
 
@@ -295,8 +302,9 @@ def _hasher() -> MinHasher:
 
 def _filter_sign_batch(payload: tuple) -> Dict[str, Any]:
     """Phase 1, fused per batch: ``empty_broken → module_decl``, then
-    each survivor's MinHash signature — returned with its shingle set
-    for the in-memory reduce, or as band keys for the partitioned one."""
+    each survivor's MinHash signature and its LSH band keys — returned
+    with its shingle set for the in-memory reduce, or as band-key
+    emissions for the partitioned one."""
     batch_index, items, band_keys = payload
     hasher = _hasher()
     survivors: List[tuple] = []
@@ -317,12 +325,11 @@ def _filter_sign_batch(payload: tuple) -> Dict[str, Any]:
                 stage_drops.get(decision.reason, 0) + 1)
             continue
         shingles = tokenize_for_dedup(content)
-        signature = hasher.signature(shingles)
+        keys = signature_band_keys(hasher.signature(shingles), BANDS)
         if band_keys:
-            for key in signature_band_keys(signature, BANDS):
-                emissions.append((key, index))
+            emissions.extend((key, index) for key in keys)
         else:
-            signed.append((shingles, signature))
+            signed.append((shingles, keys))
         survivors.append((index, content, provenance))
     return {"batch": batch_index, "n_in": len(items), "n_llm": n_llm,
             "survivors": survivors, "signed": signed,
@@ -572,7 +579,7 @@ class _Run:
     drops: Dict[str, Dict[str, int]] = field(
         default_factory=lambda: {name: {} for name in STAGE_NAMES})
     walls: Dict[str, float] = field(default_factory=dict)
-    #: In-memory runs: (shingle set, signature) per survivor, until the
+    #: In-memory runs: (shingle set, band keys) per survivor, until the
     #: dedup reduce has consumed them.
     signed: List[tuple] = field(default_factory=list)
 
@@ -628,6 +635,12 @@ class CurationPipeline:
     resilience: Optional[Resilience] = None
     spill_dir: Optional[PathLike] = None
     keep_variants: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("batch_size", "n_partitions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
 
     # -- public entry points -------------------------------------------
 
@@ -851,13 +864,13 @@ class CurationPipeline:
     def _dedup_in_memory(self, run: _Run
                          ) -> Tuple[Collection[int], int, FamilyIndex]:
         """The reduce for survivors held in memory: sequential dedup and
-        the collision forest over the signatures phase 1 made."""
+        the collision forest over the band keys phase 1 made."""
         survivors = {index: (content, provenance)
                      for batch in run.spill.iter_payloads()
                      for index, content, provenance in batch}
         indices = list(survivors)
         shingle_sets = [shingles for shingles, _ in run.signed]
-        signatures = [signature for _, signature in run.signed]
+        band_keys = [keys for _, keys in run.signed]
         run.signed = []  # the reduce is their last use
 
         def meta_for(index: int) -> Dict[str, Any]:
@@ -869,7 +882,7 @@ class CurationPipeline:
         report, family_index = build_family_artifacts(
             [survivors[index][0] for index in indices], indices, meta_for,
             threshold=self.dedup_threshold, seed=self.seed,
-            shingle_sets=shingle_sets, signatures=signatures)
+            shingle_sets=shingle_sets, band_keys=band_keys)
         duplicates = {indices[position] for position in report.duplicate_of}
         return duplicates, report.candidate_pairs_checked, family_index
 
@@ -1074,7 +1087,8 @@ class CurationPipeline:
                              family_index.role_of(index) == "canonical")
                     key, outcome = None, _MISS
                     if cache is not None:
-                        key = content_key(_LABEL_NAMESPACE, content, *needs)
+                        key = content_key(_LABEL_NAMESPACE, LABEL_SCHEMA,
+                                          content, *needs)
                         outcome = cache.get(key, _MISS)
                     if outcome is _MISS:
                         misses.append((content,) + needs)

@@ -182,7 +182,7 @@ def _model_label(model: FineTunable, config: EvalConfig) -> str:
 #: Bump when the functional test's answers change (simulation or
 #: grading semantics); a persistent outcome cache written before then
 #: misses instead of serving stale outcomes.
-OUTCOME_SCHEMA = "pyranet/functional-outcome/v2"
+OUTCOME_SCHEMA = "pyranet/functional-outcome/v3"
 
 
 def _sample_outcomes(

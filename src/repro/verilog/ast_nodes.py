@@ -433,9 +433,13 @@ class GateInstance:
 
 @dataclass
 class FunctionDecl:
-    """A user function: ``function [7:0] f; input ...; begin ... end``."""
+    """A user function: ``function [7:0] f; input ...; begin ... end``.
+
+    ``kind`` is the return type: ``reg`` (sized by ``range``) or
+    ``integer``."""
 
     name: str = ""
+    kind: str = "reg"
     range: Optional[Range] = None
     signed: bool = False
     inputs: List[Decl] = field(default_factory=list)

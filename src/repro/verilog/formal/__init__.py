@@ -1,10 +1,12 @@
 """Bounded formal checking over the elaborated synthesizable subset.
 
 No external solver: designs are bit-blasted into a hash-consed ROBDD
-arena (:mod:`.bdd`) by a symbolic interpreter that mirrors the exact
-four-state simulator semantics with constant folding through the real
-evaluator (:mod:`.sym`).  :mod:`.check` exposes the user-facing
-entry points and the versioned :class:`FormalReport`.  Designs come
+arena (:mod:`.bdd`) by a symbolic interpreter (:mod:`.sym`) that
+calls the simulator's own rules for declarations, selects, lvalues,
+write slices and constant folding, runs under its step budget, and
+implements only the operators symbolically.  :mod:`.check` exposes
+the user-facing entry points, run by one driver, and the versioned
+:class:`FormalReport`.  Designs come
 from the shared front end; :class:`repro.verilog.frontend.FrontEndMemo`
 memoises their elaboration for callers that check a store repeatedly.
 """

@@ -12,10 +12,14 @@ Entry points:
   the modelled synthesizable subset, has no combinational loops or
   driver conflicts, and every output bit is defined on all paths.
 
-All three return a versioned :class:`FormalReport`.  Reports carry no
-wall-clock data and only deterministic fields, so re-running the same
-check anywhere yields byte-identical JSON (house rule for distributed
-curation).
+All three run through one driver and return a versioned
+:class:`FormalReport`: a design that does not parse or elaborate is an
+``error``; one outside the modelled subset, past the BDD node budget or
+past its model's step budget (``STEP_BUDGET`` steps for the whole
+check, counted as the simulator counts) is ``unsupported``.  Reports
+carry no wall-clock data and only deterministic fields, so re-running
+the same check anywhere yields byte-identical JSON (house rule for
+distributed curation).
 
 The cycle semantics mirror ``Simulator.clock``: the edge processes
 observe the pre-edge settled combinational state, non-blocking updates
@@ -27,7 +31,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Set, Tuple, Union)
 
 from .. import ast_nodes as ast
 from ..parser import ParseError, parse
@@ -43,6 +48,7 @@ from ..sim.design import (
 )
 from ..sim.runtime import elaborate_source
 from ..sim.elaborate import collect_lvalue_index_reads, collect_reads
+from ..sim.interp import StepBudget, StepBudgetExceeded
 from .bdd import FALSE, TRUE, BDDBudgetError, BDDManager, DEFAULT_NODE_BUDGET
 from .sym import (
     FormalUnsupported,
@@ -152,6 +158,9 @@ class DesignModel:
         self.design = design
         self.mgr = mgr
         self.pool = pool
+        #: The steps every execution of this design's code in one check
+        #: shares; running out is an ``unsupported`` verdict.
+        self.budget = StepBudget()
         self.comb_procs: List[CombProcess] = []
         self.edge_procs: List[EdgeProcess] = []
         self.initial_procs: List[InitialProcess] = []
@@ -324,7 +333,7 @@ class DesignModel:
 
     def _make_context(self, inputs: Dict[str, List[int]],
                       state: _State) -> SymbolicContext:
-        ctx = SymbolicContext(self.design, self.mgr)
+        ctx = SymbolicContext(self.design, self.mgr, self.budget)
         for signal in self.design.signals.values():
             if signal.is_memory:
                 continue
@@ -350,7 +359,7 @@ class DesignModel:
 
     def _run_initials(self) -> _State:
         """Execute initial blocks (constants only) for seed values."""
-        ctx = SymbolicContext(self.design, self.mgr)
+        ctx = SymbolicContext(self.design, self.mgr, self.budget)
         for signal in self.design.signals.values():
             if signal.is_memory:
                 continue
@@ -429,9 +438,19 @@ class DesignModel:
         out_ctx = self.settle(inputs, new_state)
         return new_state, out_ctx
 
-    def cycle_inputs(self, cycle: int) -> Dict[str, List[int]]:
-        return {signal.name: self.pool.input_bits(signal, cycle)
-                for signal in self.data_inputs()}
+    def cycles(self, n: int, state: _State,
+               clocked: bool) -> Iterator[Tuple[int, SymbolicContext]]:
+        """``(cycle, settled context)`` for each of ``n`` cycles from
+        ``state`` under the pool's input variables of that cycle: one
+        clock edge per cycle when ``clocked``, else one settle."""
+        for cycle in range(n):
+            stimulus = {signal.name: self.pool.input_bits(signal, cycle)
+                        for signal in self.data_inputs()}
+            if clocked:
+                state, ctx = self.step(stimulus, state)
+            else:
+                ctx = self.settle(stimulus, state)
+            yield cycle, ctx
 
     def read_output(self, ctx: SymbolicContext, signal: Signal) -> SymVec:
         try:
@@ -452,13 +471,42 @@ def _as_design(source: DesignLike, top: Optional[str] = None) -> Design:
     return elaborate_source(source, top)
 
 
-def _error_report(mode: str, exc: Exception, bound: int = 0) -> FormalReport:
-    return FormalReport(mode=mode, status="error",
-                        detail=f"{type(exc).__name__}: {exc}", bound=bound)
+def _checked(mode: str, bound: int, node_budget: int,
+             designs: Sequence[Tuple[DesignLike, Optional[str]]],
+             check: Callable[..., FormalReport]) -> FormalReport:
+    """``check(*models)`` over ``designs`` (each with its top), modelled
+    on one BDD manager and input pool, with the report's sizes filled
+    in.
 
-
-def _unsupported_report(mode: str, reason: str,
-                        bound: int = 0) -> FormalReport:
+    A design that does not parse or elaborate gives an ``error``
+    report; one outside the modelled subset, or past the BDD node
+    budget or a model's step budget, an ``unsupported`` one.  Both
+    carry ``bound`` and no sizes.
+    """
+    try:
+        elaborated = [_as_design(design, top) for design, top in designs]
+    except (ParseError, ElaborationError) as exc:
+        return FormalReport(mode=mode, status="error", bound=bound,
+                            detail=f"{type(exc).__name__}: {exc}")
+    mgr = BDDManager(node_budget=node_budget)
+    pool = _VarPool(mgr)
+    try:
+        models = [DesignModel(design, mgr, pool) for design in elaborated]
+        report = check(*models)
+    except BDDBudgetError:
+        reason = "BDD node budget exceeded"
+    except FormalUnsupported as exc:
+        reason = exc.reason
+    except StepBudgetExceeded as exc:
+        reason = str(exc)
+    else:
+        report.n_inputs = sum(s.width for s in models[0].data_inputs())
+        report.n_outputs = sum(s.width for s in models[0].outputs())
+        report.n_state_bits = sum(model.design.signals[name].width
+                                  for model in models
+                                  for name in model.state_names)
+        report.n_bdd_nodes = len(mgr)
+        return report
     return FormalReport(mode=mode, status="unsupported", detail=reason,
                         bound=bound)
 
@@ -519,46 +567,25 @@ def check_equivalence(design_a: DesignLike, design_b: DesignLike,
     declared initial states; a ``counterexample`` in the report gives
     per-cycle input values replayable against the simulator.
     """
-    mode = "equivalence"
-    try:
-        elaborated_a = _as_design(design_a, top_a)
-        elaborated_b = _as_design(design_b, top_b)
-    except (ParseError, ElaborationError) as exc:
-        return _error_report(mode, exc, bound)
-    mgr = BDDManager(node_budget=node_budget)
-    pool = _VarPool(mgr)
-    try:
-        model_a = DesignModel(elaborated_a, mgr, pool)
-        model_b = DesignModel(elaborated_b, mgr, pool)
+    def check(model_a: DesignModel, model_b: DesignModel) -> FormalReport:
         mismatch = _ports_match(model_a, model_b)
         if mismatch is not None:
-            return _unsupported_report(mode, mismatch, bound)
+            raise FormalUnsupported(mismatch)
         sequential = model_a.is_sequential or model_b.is_sequential
         n_cycles = bound if sequential else 1
         if sequential and bound < 1:
-            return _unsupported_report(mode, "bound must be >= 1", bound)
-        state_a = model_a.initial_full_state(free_state=False)
-        state_b = model_b.initial_full_state(free_state=False)
+            raise FormalUnsupported("bound must be >= 1")
+        mgr, pool = model_a.mgr, model_a.pool
         inputs = model_a.data_inputs()
-        outputs = model_a.outputs()
-        report = FormalReport(
-            mode=mode, status="equivalent", bound=n_cycles,
-            n_inputs=sum(s.width for s in inputs),
-            n_outputs=sum(s.width for s in outputs),
-            n_state_bits=sum(
-                model.design.signals[n].width
-                for model in (model_a, model_b)
-                for n in model.state_names),
-        )
-        for cycle in range(n_cycles):
-            stimulus = {s.name: pool.input_bits(s, cycle) for s in inputs}
-            if sequential:
-                state_a, ctx_a = model_a.step(stimulus, state_a)
-                state_b, ctx_b = model_b.step(stimulus, state_b)
-            else:
-                ctx_a = model_a.settle(stimulus, state_a)
-                ctx_b = model_b.settle(stimulus, state_b)
-            for signal in outputs:
+        report = FormalReport(mode="equivalence", status="equivalent",
+                              bound=n_cycles)
+        runs = zip(
+            model_a.cycles(n_cycles, model_a.initial_full_state(False),
+                           sequential),
+            model_b.cycles(n_cycles, model_b.initial_full_state(False),
+                           sequential))
+        for (cycle, ctx_a), (_, ctx_b) in runs:
+            for signal in model_a.outputs():
                 value_a = model_a.read_output(
                     ctx_a, model_a.design.outputs[signal.name])
                 value_b = model_b.read_output(
@@ -581,14 +608,10 @@ def check_equivalence(design_a: DesignLike, design_b: DesignLike,
                     "value_a": _sym_int(mgr, value_a, assignment),
                     "value_b": _sym_int(mgr, value_b, assignment),
                 }
-                report.n_bdd_nodes = len(mgr)
                 return report
-        report.n_bdd_nodes = len(mgr)
         return report
-    except BDDBudgetError:
-        return _unsupported_report(mode, "BDD node budget exceeded", bound)
-    except FormalUnsupported as exc:
-        return _unsupported_report(mode, exc.reason, bound)
+    return _checked("equivalence", bound, node_budget,
+                    [(design_a, top_a), (design_b, top_b)], check)
 
 
 def _parse_assertion(text: str) -> ast.Expr:
@@ -619,15 +642,8 @@ def check_properties(design: DesignLike,
     ``holds`` is sound and a ``fails`` counterexample may start from an
     unreachable state — the report says which).
     """
-    mode = "properties"
-    try:
-        elaborated = _as_design(design, top)
-    except (ParseError, ElaborationError) as exc:
-        return _error_report(mode, exc, bound)
-    mgr = BDDManager(node_budget=node_budget)
-    pool = _VarPool(mgr)
-    try:
-        model = DesignModel(elaborated, mgr, pool)
+    def check(model: DesignModel) -> FormalReport:
+        mgr = model.mgr
         free_state = False
         try:
             state = model.initial_full_state(free_state=False)
@@ -638,14 +654,7 @@ def check_properties(design: DesignLike,
         scope = model.design.top_scope
         if scope is None:
             scope = Scope("")
-        contexts: List[Tuple[int, SymbolicContext]] = []
-        for cycle in range(n_cycles):
-            stimulus = model.cycle_inputs(cycle)
-            if model.is_sequential:
-                state, ctx = model.step(stimulus, state)
-            else:
-                ctx = model.settle(stimulus, state)
-            contexts.append((cycle, ctx))
+        contexts = list(model.cycles(n_cycles, state, model.is_sequential))
         inputs = model.data_inputs()
         results: List[Dict[str, Any]] = []
         for text in assertions:
@@ -667,7 +676,7 @@ def check_properties(design: DesignLike,
                            if free_state else ""))
                     entry["counterexample"] = {
                         "cycles": _assignment_inputs(
-                            assignment, pool, cycle + 1, inputs),
+                            assignment, model.pool, cycle + 1, inputs),
                         "cycle": cycle,
                     }
                     break
@@ -686,19 +695,10 @@ def check_properties(design: DesignLike,
         else:
             overall = "holds"
         return FormalReport(
-            mode=mode, status=overall, bound=n_cycles,
+            mode="properties", status=overall, bound=n_cycles,
             detail="free initial state" if free_state else "",
-            properties=results,
-            n_inputs=sum(s.width for s in inputs),
-            n_outputs=sum(s.width for s in model.outputs()),
-            n_state_bits=sum(model.design.signals[n].width
-                             for n in model.state_names),
-            n_bdd_nodes=len(mgr),
-        )
-    except BDDBudgetError:
-        return _unsupported_report(mode, "BDD node budget exceeded", bound)
-    except FormalUnsupported as exc:
-        return _unsupported_report(mode, exc.reason, bound)
+            properties=results)
+    return _checked("properties", bound, node_budget, [(design, top)], check)
 
 
 def verify_design(design: DesignLike, bound: int = 2,
@@ -712,39 +712,17 @@ def verify_design(design: DesignLike, bound: int = 2,
     function of inputs and state on **all** paths — checked for all
     input vectors and (when state is uninitialized) all initial states.
     """
-    mode = "verify"
-    try:
-        elaborated = _as_design(design, top)
-    except (ParseError, ElaborationError) as exc:
-        return _error_report(mode, exc, bound)
-    mgr = BDDManager(node_budget=node_budget)
-    pool = _VarPool(mgr)
-    try:
-        model = DesignModel(elaborated, mgr, pool)
-        state = model.initial_full_state(free_state=True)
+    def check(model: DesignModel) -> FormalReport:
         n_cycles = bound if model.is_sequential else 1
-        for cycle in range(n_cycles):
-            stimulus = model.cycle_inputs(cycle)
-            if model.is_sequential:
-                state, ctx = model.step(stimulus, state)
-            else:
-                ctx = model.settle(stimulus, state)
+        for _, ctx in model.cycles(n_cycles,
+                                   model.initial_full_state(free_state=True),
+                                   model.is_sequential):
             for signal in model.outputs():
                 model.read_output(ctx, signal)
         kind = "sequential" if model.is_sequential else "combinational"
-        return FormalReport(
-            mode=mode, status="verified", bound=n_cycles,
-            detail=f"{kind} design, all outputs defined",
-            n_inputs=sum(s.width for s in model.data_inputs()),
-            n_outputs=sum(s.width for s in model.outputs()),
-            n_state_bits=sum(model.design.signals[n].width
-                             for n in model.state_names),
-            n_bdd_nodes=len(mgr),
-        )
-    except BDDBudgetError:
-        return _unsupported_report(mode, "BDD node budget exceeded", bound)
-    except FormalUnsupported as exc:
-        return _unsupported_report(mode, exc.reason, bound)
+        return FormalReport(mode="verify", status="verified", bound=n_cycles,
+                            detail=f"{kind} design, all outputs defined")
+    return _checked("verify", bound, node_budget, [(design, top)], check)
 
 
 def verify_code(code: str, bound: int = 2,

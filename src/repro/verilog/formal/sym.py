@@ -1,26 +1,40 @@
 """Symbolic (BDD) execution of the elaborated two-valued subset.
 
 This module compiles an elaborated :class:`~repro.verilog.sim.design.
-Design` into per-bit BDD functions by *mirroring the simulator*: the
-expression walk follows the simulator's expression rules rule for rule
-(context-width widening, operand signedness, self-determined operands),
-the statement walk its statement rules, and continuous assigns the
-kernel's continuous assignments.  Those rules live in the simulator's
-compiler (``ExprCompiler`` in ``sim/eval.py``, ``Compiler`` in
-``sim/interp.py``, ``Kernel._compile_assign``); their tree-walking
-form, which this module follows node for node, is the test oracle
-``tests/verilog/reference_sim.py``.  Every width or constant decision
-is delegated to the real :class:`~repro.verilog.sim.eval.Evaluator`
-over a store view of the symbolic environment, so constant
-sub-expressions
-(parameters, loop indices, ``$clog2``, user functions of constants)
-fold to exactly the value the simulator would compute.
+Design` into per-bit BDD functions.  What it shares with the simulator
+it calls rather than restates:
+
+* every block-local variable is shaped by
+  :func:`~repro.verilog.sim.design.declared_signal`, the rule of module
+  signals, ports, the kernel's block locals and function frames;
+* part and indexed selects map to physical bits through
+  :func:`~repro.verilog.sim.eval.part_bounds` and
+  :func:`~repro.verilog.sim.eval.indexed_bounds`, as the simulator's
+  reads and writes do;
+* assignment targets resolve through
+  :func:`~repro.verilog.sim.interp.resolve_lvalue` and values split
+  across them through :func:`~repro.verilog.sim.interp.split_value_for_ops`;
+* every width, signedness or constant decision goes to the real
+  :class:`~repro.verilog.sim.eval.Evaluator` over a store view of the
+  symbolic environment, so constant sub-expressions (parameters, loop
+  indices, ``$clog2``, user functions of constants) fold to exactly
+  the value the simulator computes;
+* each statement executed and each loop iteration charges one step of
+  a :class:`~repro.verilog.sim.interp.StepBudget`, one per design model
+  for a whole check, as the simulator charges its entries.
+
+Its own are the symbolic operators (adders, comparators, shifts, a
+merge under a symbolic condition) and the statement walk that applies
+the simulator's statement rules to them;
+``tests/verilog/test_formal_crossval.py`` checks them against
+exhaustive simulation.
 
 The modelled subset is two-valued and synchronous: anything whose
 simulator semantics involve x/z data, timing, randomness, memories, or
 scheduling races raises :class:`FormalUnsupported` with a human-readable
-reason.  The checker turns that into an ``unsupported`` verdict — the
-engine never guesses, so a ``verified``/``equivalent`` answer is exact.
+reason.  The checker turns that, and a spent step budget, into an
+``unsupported`` verdict — the engine never guesses, so a
+``verified``/``equivalent`` answer is exact.
 """
 
 from __future__ import annotations
@@ -32,28 +46,23 @@ from ..sim.design import (
     CombProcess,
     ConstBinding,
     Design,
-    EdgeProcess,
     FuncBinding,
-    InitialProcess,
     Scope,
     Signal,
     SignalBinding,
-    TimedAlwaysProcess,
+    declared_signal,
 )
-from ..sim.eval import EvalError, Evaluator
+from ..sim.eval import EvalError, Evaluator, indexed_bounds, part_bounds
 from ..sim.interp import (
     SimulationError,
+    StepBudget,
     WriteOp,
     resolve_lvalue,
     run_function,
+    split_value_for_ops,
 )
 from ..sim.values import Vec4
-from .bdd import FALSE, TRUE, BDDBudgetError, BDDManager
-
-#: Concrete-loop unroll cap; far above anything in the corpus subset,
-#: far below the simulator's STEP_BUDGET so formal checks stay cheap
-#: enough for curation.
-MAX_UNROLL = 10_000
+from .bdd import FALSE, TRUE, BDDManager
 
 
 class FormalUnsupported(Exception):
@@ -192,9 +201,13 @@ class SymbolicContext:
     execution observes an unassigned (x) bit".
     """
 
-    def __init__(self, design: Design, mgr: BDDManager) -> None:
+    def __init__(self, design: Design, mgr: BDDManager,
+                 budget: StepBudget) -> None:
         self.design = design
         self.mgr = mgr
+        #: Charged one step per statement executed and per loop
+        #: iteration, as the simulator charges its entries.
+        self.budget = budget
         self.env: Dict[str, List[int]] = {}
         self.undef: Dict[str, List[int]] = {}
         #: Pending non-blocking writes: name -> (guards, values), LSB-first.
@@ -203,7 +216,6 @@ class SymbolicContext:
         self.path: int = TRUE
         self._store_view = _SymStoreView(self)
         self.consts = Evaluator(self._store_view, self._call_const_function)
-        self._local_signals: Dict[str, Signal] = {}
 
     def _call_const_function(self, binding: FuncBinding,
                              args: List[Vec4]) -> Vec4:
@@ -330,7 +342,7 @@ class SymbolicContext:
         self.env, self.undef, self.nba = env, undef, nba
 
     # =====================================================================
-    # Expression evaluation (mirrors ExprCompiler in sim/eval.py)
+    # Expression evaluation (ExprCompiler's rules in sim/eval.py)
     # =====================================================================
 
     def eval_sym(self, expr: ast.Expr, scope: Scope,
@@ -440,37 +452,19 @@ class SymbolicContext:
                        else index.const_int())
             if index_i is None:
                 raise FormalUnsupported("symbolic bit-select index")
-            pos = self._to_position(base_signal, index_i)
-            base = self._read_base(expr.base, base_signal, scope, pos, pos)
-            return base.slice(pos, pos)
-        if expr.kind == "part":
-            msb_i = self._const_int(expr.left, scope, "part-select bound")
-            lsb_i = self._const_int(expr.right, scope, "part-select bound")
-            hi = self._to_position(base_signal, msb_i)
-            lo = self._to_position(base_signal, lsb_i)
-            if hi < lo:
-                hi, lo = lo, hi
-            base = self._read_base(expr.base, base_signal, scope, lo, hi)
-            return base.slice(hi, lo)
-        width = self._const_int(expr.right, scope, "indexed-part width")
-        start = self.eval_sym(expr.left, scope)
-        start_i = start.const_int()
-        if start_i is None:
-            raise FormalUnsupported("symbolic indexed part-select base")
-        ascending = base_signal is not None and \
-            base_signal.msb < base_signal.lsb
-        if expr.kind == "plus":
-            lo_idx, hi_idx = start_i, start_i + width - 1
-            if ascending:
-                lo_idx, hi_idx = start_i + width - 1, start_i
+            hi, lo = part_bounds(base_signal, index_i, index_i)
+        elif expr.kind == "part":
+            hi, lo = part_bounds(
+                base_signal,
+                self._const_int(expr.left, scope, "part-select bound"),
+                self._const_int(expr.right, scope, "part-select bound"))
         else:
-            lo_idx, hi_idx = start_i - width + 1, start_i
-            if ascending:
-                lo_idx, hi_idx = start_i, start_i - width + 1
-        hi = self._to_position(base_signal, hi_idx)
-        lo = self._to_position(base_signal, lo_idx)
-        if hi < lo:
-            hi, lo = lo, hi
+            width = self._const_int(expr.right, scope, "indexed-part width")
+            start = self.eval_sym(expr.left, scope).const_int()
+            if start is None:
+                raise FormalUnsupported("symbolic indexed part-select base")
+            hi, lo = indexed_bounds(base_signal, start, width,
+                                    expr.kind == "plus")
         base = self._read_base(expr.base, base_signal, scope, lo, hi)
         return base.slice(hi, lo)
 
@@ -489,12 +483,6 @@ class SymbolicContext:
             if isinstance(binding, SignalBinding):
                 return binding.signal
         return None
-
-    @staticmethod
-    def _to_position(signal: Optional[Signal], index: int) -> int:
-        if signal is None:
-            return index
-        return signal.bit_position(index)
 
     def _sym_unary(self, expr: ast.Unary, scope: Scope,
                    ctx_width: Optional[int]) -> SymVec:
@@ -729,12 +717,13 @@ class SymbolicContext:
             f"system function {name} of non-constant arguments")
 
     # =====================================================================
-    # Statement execution (mirrors Compiler in sim/interp.py)
+    # Statement execution (Compiler's rules in sim/interp.py)
     # =====================================================================
 
     def exec_stmt(self, stmt: Optional[ast.Stmt], scope: Scope) -> None:
         if stmt is None:
             return
+        self.budget.charge(1)
         if isinstance(stmt, ast.Block):
             block_scope = scope
             if stmt.decls:
@@ -757,20 +746,15 @@ class SymbolicContext:
             self._exec_for(stmt, scope)
             return
         if isinstance(stmt, ast.While):
-            iterations = 0
-            while True:
-                if not self._const_truth(stmt.cond, scope, "loop condition"):
-                    return
+            while self._const_truth(stmt.cond, scope, "loop condition"):
                 self.exec_stmt(stmt.body, scope)
-                iterations += 1
-                if iterations > MAX_UNROLL:
-                    raise FormalUnsupported("while loop exceeds unroll cap")
+                self.budget.charge(1)
+            return
         if isinstance(stmt, ast.Repeat):
             count = self._const_int(stmt.count, scope, "repeat count")
-            if count > MAX_UNROLL:
-                raise FormalUnsupported("repeat count exceeds unroll cap")
             for _ in range(max(count, 0)):
                 self.exec_stmt(stmt.body, scope)
+                self.budget.charge(1)
             return
         if isinstance(stmt, (ast.NullStmt, ast.Disable)):
             return
@@ -793,21 +777,9 @@ class SymbolicContext:
     def _declare_local(self, decl: ast.Decl, scope: Scope) -> None:
         if decl.array_dims:
             raise FormalUnsupported(f"local memory {decl.name!r}")
-        msb = lsb = 0
-        width = 1
-        signed = decl.signed
-        if decl.kind == "integer":
-            width, msb, lsb, signed = 32, 31, 0, True
-        elif decl.range is not None:
-            msb = self._const_int(decl.range.msb, scope, "local range")
-            lsb = self._const_int(decl.range.lsb, scope, "local range")
-            width = abs(msb - lsb) + 1
-        name = scope.flat_name(decl.name)
-        signal = self._local_signals.get(name)
-        if signal is None or signal.width != width:
-            signal = Signal(name=name, width=width, signed=signed,
-                            msb=msb, lsb=lsb)
-            self._local_signals[name] = signal
+        signal = declared_signal(
+            decl, scope.flat_name(decl.name),
+            lambda bound: self._const_int(bound, scope, "local range"))
         scope.bind(decl.name, SignalBinding(signal=signal))
         self.init_signal(signal)
 
@@ -836,21 +808,10 @@ class SymbolicContext:
 
     def _write(self, ops: Sequence[WriteOp], value: SymVec,
                blocking: bool) -> None:
-        # Mirror split_value_for_ops: MSB-first slices of the value.
-        total = sum(op.width for op in ops)
-        if value.width < total:
-            value = value.resize(total, value.signed)
-        offset = total
-        for op in ops:
-            offset -= op.width
-            piece = SymVec(self.mgr, op.width,
-                           value.bits[offset:offset + op.width])
-            if op.oob:
-                continue
-            if blocking:
-                self.write_bits(op.signal, op.lo, piece)
-            else:
-                self.write_bits_nba(op.signal, op.lo, piece)
+        write = self.write_bits if blocking else self.write_bits_nba
+        for op, piece in zip(ops, split_value_for_ops(value, ops)):
+            if not op.oob:
+                write(op.signal, op.lo, piece)
 
     def _exec_if(self, stmt: ast.If, scope: Scope) -> None:
         cond = self.eval_sym(stmt.cond, scope)
@@ -952,20 +913,15 @@ class SymbolicContext:
     def _exec_for(self, stmt: ast.For, scope: Scope) -> None:
         if stmt.init is not None:
             self._exec_assign(stmt.init, scope)
-        iterations = 0
-        while True:
-            if stmt.cond is not None:
-                if not self._const_truth(stmt.cond, scope, "loop condition"):
-                    return
+        while stmt.cond is None or self._const_truth(stmt.cond, scope,
+                                                     "loop condition"):
             self.exec_stmt(stmt.body, scope)
             if stmt.step is not None:
                 self._exec_assign(stmt.step, scope)
-            iterations += 1
-            if iterations > MAX_UNROLL:
-                raise FormalUnsupported("for loop exceeds unroll cap")
+            self.budget.charge(1)
 
     # =====================================================================
-    # Continuous assigns (mirror of Kernel._compile_assign)
+    # Continuous assigns (Kernel._compile_assign's rules)
     # =====================================================================
 
     def run_comb_assign(self, proc: CombProcess) -> None:
@@ -1024,7 +980,6 @@ def _target_signals(target, scope: Scope, writes: Set[str]) -> None:
 
 __all__ = [
     "FormalUnsupported",
-    "MAX_UNROLL",
     "SymVec",
     "SymbolicContext",
     "collect_writes",

@@ -53,7 +53,7 @@ from .sim.runtime import elaborate_source
 
 #: Bump when Design layout or elaboration semantics change; stale
 #: persistent entries then miss instead of deserialising garbage.
-MEMO_SCHEMA = "pyranet/front-end-memo/v2"
+MEMO_SCHEMA = "pyranet/front-end-memo/v3"
 
 _DESIGN_NAMESPACE = "verilog/design"
 

@@ -473,11 +473,11 @@ class Parser:
         start = self._expect_kw("function")
         self._accept_kw("automatic")
         signed = bool(self._accept_kw("signed"))
-        self._accept_kw("integer")
+        kind = "integer" if self._accept_kw("integer") else "reg"
         rng = self._parse_optional_range()
         name = self._expect_ident().text
         func = ast.FunctionDecl(
-            name=name, range=rng, signed=signed, line=start.line
+            name=name, kind=kind, range=rng, signed=signed, line=start.line
         )
         if self._accept_op("("):
             # ANSI function ports.

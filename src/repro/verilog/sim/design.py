@@ -11,7 +11,7 @@ parsed module serve many instances and generate iterations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .. import ast_nodes as ast
 from .values import Vec4
@@ -20,6 +20,12 @@ from .values import Vec4
 class ElaborationError(Exception):
     """Raised when a design cannot be elaborated (unknown module,
     non-constant parameter, unsupported construct, width mismatch…)."""
+
+
+#: (width, signed) of the variable kinds whose size is fixed; their
+#: range and ``signed`` qualifier, if any, are ignored.
+FIXED_KINDS = {"integer": (32, True), "time": (32, False),
+               "real": (64, True)}
 
 
 @dataclass
@@ -59,6 +65,41 @@ class Signal:
         if self.msb >= self.lsb:
             return index - self.lsb
         return self.lsb - index
+
+
+def declared_signal(decl: Union[ast.Decl, ast.FunctionDecl], name: str,
+                    const_int: Callable[[ast.Expr], int],
+                    cls: type = Signal, **fields) -> Signal:
+    """The signal ``decl`` declares, named ``name``: the one rule for
+    module signals and ports, block-local variables, function inputs,
+    locals and return values, and the formal checker's locals.
+
+    ``integer``, ``time`` and ``real`` take their :data:`FIXED_KINDS`
+    shape; any other kind is as wide as its packed range (1 bit without
+    one).  One unpacked dimension makes a memory; more are rejected.
+    ``const_int`` folds each bound, in the order msb, lsb, then the
+    memory's two bounds.  ``fields`` go to ``cls`` as they are.
+    """
+    fixed = FIXED_KINDS.get(decl.kind)
+    if fixed is not None:
+        width, signed = fixed
+        msb, lsb = width - 1, 0
+    elif decl.range is not None:
+        msb, lsb = const_int(decl.range.msb), const_int(decl.range.lsb)
+        width, signed = abs(msb - lsb) + 1, decl.signed
+    else:
+        width, msb, lsb, signed = 1, 0, 0, decl.signed
+    array_size = array_min = 0
+    dims = decl.array_dims if isinstance(decl, ast.Decl) else ()
+    if dims:
+        if len(dims) > 1:
+            raise ElaborationError(
+                f"multi-dimensional memory {decl.name!r} not supported")
+        first, last = const_int(dims[0].msb), const_int(dims[0].lsb)
+        array_min = min(first, last)
+        array_size = max(first, last) - array_min + 1
+    return cls(name=name, width=width, signed=signed, msb=msb, lsb=lsb,
+               array_size=array_size, array_min=array_min, **fields)
 
 
 @dataclass

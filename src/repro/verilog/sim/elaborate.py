@@ -29,6 +29,7 @@ from .design import (
     SignalBinding,
     TaskBinding,
     TimedAlwaysProcess,
+    declared_signal,
 )
 from .eval import EvalError, Evaluator, const_evaluator
 from .values import Vec4
@@ -181,17 +182,11 @@ class Elaborator:
 
     # -- signals ------------------------------------------------------------
 
-    def _range_bounds(
-        self, rng: ast.Range, scope: Scope, evaluator: Evaluator
-    ) -> Tuple[int, int]:
-        msb = evaluator.eval_const_int(rng.msb, scope)
-        lsb = evaluator.eval_const_int(rng.lsb, scope)
-        return msb, lsb
-
     def _range_width(
         self, rng: ast.Range, scope: Scope, evaluator: Evaluator
     ) -> int:
-        msb, lsb = self._range_bounds(rng, scope, evaluator)
+        msb = evaluator.eval_const_int(rng.msb, scope)
+        lsb = evaluator.eval_const_int(rng.lsb, scope)
         return abs(msb - lsb) + 1
 
     def _evaluator(self) -> Evaluator:
@@ -211,64 +206,23 @@ class Elaborator:
             signal = port_aliases[port.name]
             scope.bind(port.name, SignalBinding(signal=signal))
             return signal
-        evaluator = self._evaluator()
-        rng = port.range
-        signed = port.signed
-        kind = "var" if port.net_kind in _VAR_KINDS else "net"
+        # The port and its body declaration, if any, as one declaration.
+        decl = ast.Decl(kind=port.net_kind, name=port.name,
+                        range=port.range, signed=port.signed)
         if body_decl is not None:
-            if body_decl.kind in _VAR_KINDS:
-                kind = "var"
-            if rng is None and body_decl.range is not None:
-                rng = body_decl.range
-            signed = signed or body_decl.signed
-        msb = lsb = 0
-        width = 1
-        if port.net_kind == "integer" or (
-            body_decl is not None and body_decl.kind == "integer"
-        ):
-            width, msb, lsb, signed = 32, 31, 0, True
-        elif rng is not None:
-            msb, lsb = self._range_bounds(rng, scope, evaluator)
-            width = abs(msb - lsb) + 1
-        signal = Signal(
-            name=scope.flat_name(port.name), width=width, signed=signed,
-            kind=kind, msb=msb, lsb=lsb,
-        )
-        self._design.add_signal(signal)
-        scope.bind(port.name, SignalBinding(signal=signal))
-        return signal
+            if body_decl.kind in _VAR_KINDS and decl.kind != "integer":
+                decl.kind = body_decl.kind
+            if decl.range is None:
+                decl.range = body_decl.range
+            decl.signed = decl.signed or body_decl.signed
+        return self._create_decl_signal(decl, scope)
 
     def _create_decl_signal(self, decl: ast.Decl, scope: Scope) -> Signal:
         evaluator = self._evaluator()
-        msb = lsb = 0
-        width = 1
-        signed = decl.signed
-        if decl.kind == "integer" or decl.kind == "time":
-            width, msb, lsb = 32, 31, 0
-            signed = decl.kind == "integer"
-        elif decl.kind == "real":
-            width, msb, lsb, signed = 64, 63, 0, True
-        elif decl.range is not None:
-            msb, lsb = self._range_bounds(decl.range, scope, evaluator)
-            width = abs(msb - lsb) + 1
-        array_size = 0
-        array_min = 0
-        if decl.array_dims:
-            if len(decl.array_dims) > 1:
-                raise ElaborationError(
-                    f"multi-dimensional memory {decl.name!r} not supported"
-                )
-            lo, hi = self._range_bounds(decl.array_dims[0], scope, evaluator)
-            if lo > hi:
-                lo, hi = hi, lo
-            array_size = hi - lo + 1
-            array_min = lo
-        kind = "var" if decl.kind in _VAR_KINDS else "net"
-        signal = Signal(
-            name=scope.flat_name(decl.name), width=width, signed=signed,
-            kind=kind, array_size=array_size, msb=msb, lsb=lsb,
-            array_min=array_min,
-        )
+        signal = declared_signal(
+            decl, scope.flat_name(decl.name),
+            lambda expr: evaluator.eval_const_int(expr, scope),
+            kind="var" if decl.kind in _VAR_KINDS else "net")
         self._design.add_signal(signal)
         scope.bind(decl.name, SignalBinding(signal=signal))
         return signal

@@ -50,6 +50,7 @@ from .design import (
     Scope,
     Signal,
     SignalBinding,
+    declared_signal,
 )
 from .values import Vec4
 
@@ -59,6 +60,10 @@ Compiled = Callable[[Optional[list]], Vec4]
 
 class EvalError(Exception):
     """Raised when an expression cannot be evaluated."""
+
+
+class NotStatic(Exception):
+    """A declaration bound needs run-time state to evaluate."""
 
 
 class ConstStore:
@@ -186,6 +191,28 @@ def select_signal(expr: ast.Expr, scope: Scope) -> Optional[Signal]:
     return None
 
 
+def part_bounds(signal: Optional[Signal], msb: int,
+                lsb: int) -> Tuple[int, int]:
+    """Physical ``(hi, lo)`` of the part select ``[msb:lsb]``, or of the
+    bit select ``[msb]`` when ``lsb == msb``: the declared indices of
+    ``signal`` mapped to bit positions (a value with no signal behind
+    it is indexed by position), in either order.  The one select rule
+    of reads, writes and the formal checker; whether the bits exist is
+    theirs to decide."""
+    if signal is not None:
+        msb, lsb = signal.bit_position(msb), signal.bit_position(lsb)
+    return (msb, lsb) if msb >= lsb else (lsb, msb)
+
+
+def indexed_bounds(signal: Optional[Signal], start: int, width: int,
+                   plus: bool) -> Tuple[int, int]:
+    """Physical ``(hi, lo)`` of ``[start +: width]`` (``plus``) or
+    ``[start -: width]``: the ``width`` indices counting up or down
+    from ``start``, as :func:`part_bounds` maps them."""
+    end = start + width - 1 if plus else start - width + 1
+    return part_bounds(signal, start, end)
+
+
 #: Width analysis result: (static (width, signed) or None, fn(frame)).
 Sized = Tuple[Optional[Tuple[int, bool]], Callable]
 
@@ -254,6 +281,17 @@ class ExprCompiler:
             except Exception as exc:  # deferred to the point of evaluation
                 return None, raiser(exc), True
         return None, as_int, False
+
+    def frame_int(self, expr, scope: Scope, fr) -> int:
+        """A declaration bound: constant now, or read from the frame
+        ``fr``; without a frame a bound that reads state raises
+        :class:`NotStatic`."""
+        value, fn, _ = self.const_int(expr, scope)
+        if value is not None:
+            return value
+        if fr is None:
+            raise NotStatic
+        return fn(fr)
 
     def reader(self, signal: Signal) -> Compiled:
         if self._frame and isinstance(signal, FrameSignal):
@@ -371,11 +409,17 @@ class ExprCompiler:
             if binding is None:
                 return None, raiser(EvalError(
                     f"unknown function {expr.name!r}"))
-            rng, signed = binding.decl.range, binding.decl.signed
-            if rng is None:
-                return (1, signed), None
-            return self._ints((rng.msb, rng.lsb), binding.scope,
-                              lambda m, l: (abs(m - l) + 1, signed))
+            decl, decl_scope = binding.decl, binding.scope
+
+            def returned(int_of):
+                ret = declared_signal(decl, decl.name, int_of)
+                return ret.width, ret.signed
+            try:
+                return returned(lambda bound: self.frame_int(
+                    bound, decl_scope, None)), None
+            except NotStatic:
+                return None, lambda fr: returned(
+                    lambda bound: self.const_int(bound, decl_scope)[1](fr))
         if isinstance(expr, ast.SystemCall):
             if expr.name in ("$signed", "$unsigned") and expr.args:
                 signed = expr.name == "$signed"
@@ -500,24 +544,18 @@ class ExprCompiler:
             lsb, lsb_fn, lsb_pure = self.const_int(expr.right, scope)
             pure = base_pure and msb_pure and lsb_pure
             if msb is not None and lsb is not None:
-                hi, lo = position(msb), position(lsb)
-                if hi < lo:
-                    hi, lo = lo, hi
+                hi, lo = part_bounds(signal, msb, lsb)
                 return (lambda fr: base(fr).slice(hi, lo)), pure
 
             def part(fr):
                 b = base(fr)
-                hi, lo = position(msb_fn(fr)), position(lsb_fn(fr))
-                if hi < lo:
-                    hi, lo = lo, hi
-                return b.slice(hi, lo)
+                return b.slice(*part_bounds(signal, msb_fn(fr), lsb_fn(fr)))
             return part, pure
         # Indexed part selects: base[b +: w] / base[b -: w].
         width, width_fn, width_pure = self.const_int(expr.right, scope)
         if width is not None:
             width_fn = constant(width)
         start, start_pure = self.compile(expr.left, scope)
-        ascending = signal is not None and signal.msb < signal.lsb
         plus = expr.kind == "plus"
 
         def indexed(fr):
@@ -526,15 +564,7 @@ class ExprCompiler:
             s = start(fr)
             if s.xz:
                 return Vec4.all_x(w)
-            i = s.val
-            if plus:
-                lo_idx, hi_idx = (i + w - 1, i) if ascending else (i, i + w - 1)
-            else:
-                lo_idx, hi_idx = (i, i - w + 1) if ascending else (i - w + 1, i)
-            hi, lo = position(hi_idx), position(lo_idx)
-            if hi < lo:
-                hi, lo = lo, hi
-            return b.slice(hi, lo)
+            return b.slice(*indexed_bounds(signal, s.val, w, plus))
         return indexed, base_pure and width_pure and start_pure
 
     def _concat(self, expr: ast.Concat, scope: Scope):

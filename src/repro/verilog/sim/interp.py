@@ -36,6 +36,7 @@ from .design import (
     Signal,
     SignalBinding,
     TaskBinding,
+    declared_signal,
 )
 from .eval import (
     ConstStore,
@@ -43,7 +44,10 @@ from .eval import (
     Evaluator,
     ExprCompiler,
     FrameSignal,
+    NotStatic,
     constant,
+    indexed_bounds,
+    part_bounds,
     raiser,
     resolve_hierarchical,
 )
@@ -251,9 +255,9 @@ def _select_bits(xc: ExprCompiler, expr: ast.Select, signal: Signal,
     """(fn(frame, mem_index) -> ops, pure) for a bit, part or indexed
     select of ``signal`` (or of one of its memory elements)."""
     width = signal.width
-    position = signal.bit_position
     if expr.kind == "bit":
         index, pure = xc.compile(expr.left, scope)
+        position = signal.bit_position
 
         def bit(fr, mem_index):
             i = index(fr)
@@ -265,9 +269,8 @@ def _select_bits(xc: ExprCompiler, expr: ast.Select, signal: Signal,
             return [WriteOp(signal, mem_index, pos, pos)]
         return bit, pure
 
-    def sliced(mem_index, hi, lo):
-        if hi < lo:
-            hi, lo = lo, hi
+    def sliced(mem_index, bounds):
+        hi, lo = bounds
         if lo < 0 or hi >= width:
             return [WriteOp(signal, mem_index, max(hi, 0), max(lo, 0),
                             oob=True)]
@@ -277,13 +280,11 @@ def _select_bits(xc: ExprCompiler, expr: ast.Select, signal: Signal,
         _, lsb, lsb_pure = xc.const_int(expr.right, scope)
 
         def part(fr, mem_index):
-            hi = position(msb(fr))
-            return sliced(mem_index, hi, position(lsb(fr)))
+            return sliced(mem_index, part_bounds(signal, msb(fr), lsb(fr)))
         return part, msb_pure and lsb_pure
     # Indexed part select.
     _, size, size_pure = xc.const_int(expr.right, scope)
     start, start_pure = xc.compile(expr.left, scope)
-    ascending = signal.msb < signal.lsb
     plus = expr.kind == "plus"
 
     def indexed(fr, mem_index):
@@ -291,12 +292,7 @@ def _select_bits(xc: ExprCompiler, expr: ast.Select, signal: Signal,
         s = start(fr)
         if s.xz:
             return _full_oob(signal, mem_index)
-        i = s.val
-        if plus:
-            lo_idx, hi_idx = (i + w - 1, i) if ascending else (i, i + w - 1)
-        else:
-            lo_idx, hi_idx = (i, i - w + 1) if ascending else (i - w + 1, i)
-        return sliced(mem_index, position(hi_idx), position(lo_idx))
+        return sliced(mem_index, indexed_bounds(signal, s.val, w, plus))
     return indexed, size_pure and start_pure
 
 
@@ -314,10 +310,6 @@ class _Call:
     def __init__(self, charge, depth: int) -> None:
         self.charge = charge
         self.depth = depth
-
-
-class _NotStatic(Exception):
-    """A declaration's range needs run-time state to evaluate."""
 
 
 class _Function:
@@ -355,7 +347,7 @@ class _Function:
         out and compiles the body on each call."""
         try:
             ret, inputs, inits, body, size = self._layout(None)
-        except _NotStatic:
+        except NotStatic:
             return self._run_dynamic
 
         def run(call, args):
@@ -387,16 +379,11 @@ class _Function:
         decl = binding.decl
         scope = binding.scope.child(f"__fn_{decl.name}")
         slots = [1]
-        if decl.range is not None:
-            msb = compiler.frame_int(decl.range.msb, binding.scope, fr)
-            lsb = compiler.frame_int(decl.range.lsb, binding.scope, fr)
-            width = abs(msb - lsb) + 1
-        else:
-            msb = lsb = 0
-            width = 1
-        ret = FrameSignal(name=f"__ret_{decl.name}", width=width,
-                          signed=decl.signed, msb=msb, lsb=lsb, slot=0)
-        ret.slot = _take_slot(slots, fr, Vec4.all_x(width, decl.signed))
+        ret = declared_signal(
+            decl, f"__ret_{decl.name}",
+            lambda bound: compiler.local.frame_int(bound, binding.scope, fr),
+            FrameSignal)
+        ret.slot = _take_slot(slots, fr, Vec4.all_x(ret.width, ret.signed))
         scope.bind(decl.name, SignalBinding(signal=ret))
         inputs = []
         for index, formal in enumerate(decl.inputs):
@@ -547,41 +534,14 @@ class Compiler:
             return call(values, caller.charge, caller.depth + 1)
         return nested_call
 
-    def frame_int(self, expr, scope: Scope, fr) -> int:
-        """A declaration bound: constant now, or read from ``fr``."""
-        value, fn, _ = self.local.const_int(expr, scope)
-        if value is not None:
-            return value
-        if fr is None:
-            raise _NotStatic
-        return fn(fr)
-
     def declare_frame(self, decl: ast.Decl, scope: Scope, fr,
                       slots: List[int]):
         """Create a frame variable for ``decl``, bind it, and return it
         with its initial-value maker."""
-        msb = lsb = 0
-        width = 1
-        signed = decl.signed
-        if decl.kind == "integer":
-            width, msb, lsb, signed = 32, 31, 0, True
-        elif decl.range is not None:
-            msb = self.frame_int(decl.range.msb, scope, fr)
-            lsb = self.frame_int(decl.range.lsb, scope, fr)
-            width = abs(msb - lsb) + 1
-        array_size = 0
-        array_min = 0
-        if decl.array_dims:
-            lo = self.frame_int(decl.array_dims[0].msb, scope, fr)
-            hi = self.frame_int(decl.array_dims[0].lsb, scope, fr)
-            if lo > hi:
-                lo, hi = hi, lo
-            array_size = hi - lo + 1
-            array_min = lo
-        signal = FrameSignal(
-            name=f"__local_{decl.name}", width=width, signed=signed,
-            msb=msb, lsb=lsb, array_size=array_size, array_min=array_min,
-        )
+        signal = declared_signal(
+            decl, f"__local_{decl.name}",
+            lambda bound: self.local.frame_int(bound, scope, fr),
+            FrameSignal)
         init = _fresh(signal)
         signal.slot = _take_slot(slots, fr, None if fr is None else init())
         scope.bind(decl.name, SignalBinding(signal=signal))
@@ -951,7 +911,7 @@ class Compiler:
             try:
                 inits = [self.declare_frame(decl, child, None, slots)
                          for decl in decls]
-            except _NotStatic:
+            except NotStatic:
                 def body_of(fr):
                     child = scope.child(suffix)
                     slots = [len(fr)]

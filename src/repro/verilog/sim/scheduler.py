@@ -45,6 +45,7 @@ from .design import (
     Signal,
     SignalBinding,
     TimedAlwaysProcess,
+    declared_signal,
 )
 from .eval import constant
 from .interp import (
@@ -105,7 +106,6 @@ class Kernel:
         self._memories: Dict[str, List[Vec4]] = {}
         self._driver_contribs: Dict[str, Dict[int, Vec4]] = {}
         self._local_signals: Dict[str, Signal] = {}
-        self._local_memories: Dict[str, List[Vec4]] = {}
 
         self._comb_sens: Dict[str, List[int]] = {}
         self._edge_sens: Dict[str, List[Tuple[int, str]]] = {}
@@ -123,7 +123,8 @@ class Kernel:
         #: re-arms only after the body completes — LRM 9.7.5).
         self._running_always: Optional[int] = None
 
-        self._init_state()
+        for signal in design.signals.values():
+            self._init_signal(signal)
         self._index_processes()
         #: The steps left to the current entry (construction, one
         #: settle or one run), refilled as each entry starts.
@@ -228,28 +229,13 @@ class Kernel:
     def declare_local(self, decl: ast.Decl, scope: Scope) -> None:
         """Create a persistent block-local variable on first entry."""
         key = scope.flat_name(decl.name)
-        existing = self._local_signals.get(key)
-        if existing is not None:
-            scope.bind(decl.name, SignalBinding(signal=existing))
-            return
-        msb = lsb = 0
-        width = 1
-        signed = decl.signed
-        if decl.kind == "integer":
-            width, msb, lsb, signed = 32, 31, 0, True
-        elif decl.range is not None:
-            msb = self._const_int(decl.range.msb, scope)
-            lsb = self._const_int(decl.range.lsb, scope)
-            width = abs(msb - lsb) + 1
-        signal = Signal(name=key, width=width, signed=signed, kind="var",
-                        msb=msb, lsb=lsb)
-        self._local_signals[key] = signal
-        self._values[key] = Vec4.all_x(width, signed)
+        signal = self._local_signals.get(key)
+        if signal is None:
+            signal = self._local_signals[key] = declared_signal(
+                decl, key, lambda expr: self.compiler.module.frame_int(
+                    expr, scope, self._frame))
+            self._init_signal(signal)
         scope.bind(decl.name, SignalBinding(signal=signal))
-
-    def _const_int(self, expr: ast.Expr, scope: Scope) -> int:
-        value, fn, _ = self.compiler.module.const_int(expr, scope)
-        return value if value is not None else fn(self._frame)
 
     def system_task_fn(self, stmt: ast.SystemTaskCall, scope: Scope):
         """Compiled ``$display`` and friends: a no-argument closure.
@@ -291,21 +277,20 @@ class Kernel:
 
     # -- initialisation ------------------------------------------------------
 
-    def _init_state(self) -> None:
-        for signal in self.design.signals.values():
-            if signal.is_memory:
-                self._memories[signal.name] = [
-                    Vec4.all_x(signal.width, signal.signed)
-                    for _ in range(signal.array_size)
-                ]
-                continue
-            if signal.kind == "net" and signal.name not in self.design.inputs:
-                self._values[signal.name] = Vec4.all_z(signal.width,
-                                                       signal.signed)
-                self._driver_contribs[signal.name] = {}
-            else:
-                self._values[signal.name] = Vec4.all_x(signal.width,
-                                                       signal.signed)
+    def _init_signal(self, signal: Signal) -> None:
+        """A signal's time-zero value: undriven nets z, the rest x."""
+        if signal.is_memory:
+            self._memories[signal.name] = [
+                Vec4.all_x(signal.width, signal.signed)
+                for _ in range(signal.array_size)
+            ]
+        elif signal.kind == "net" and signal.name not in self.design.inputs:
+            self._values[signal.name] = Vec4.all_z(signal.width,
+                                                   signal.signed)
+            self._driver_contribs[signal.name] = {}
+        else:
+            self._values[signal.name] = Vec4.all_x(signal.width,
+                                                   signal.signed)
 
     def _index_processes(self) -> None:
         for index, proc in enumerate(self.design.processes):

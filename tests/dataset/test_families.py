@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import GitHubScrapeSimulator
+from repro.dataset import dedup, families, streaming
 from repro.dataset.dedup import (MinHasher, deduplicate, signature_band_keys,
                                  tokenize_for_dedup)
 from repro.dataset.families import (
@@ -219,9 +220,24 @@ class TestZeroRehash:
         assert family.n_shingles_hashed == plain.n_shingles_hashed > 0
         assert index.n_families > 0  # the corpus does contain dupes
 
-    def test_injected_signatures_must_pair_with_shingles(self):
+    def test_band_keys_derived_once_per_survivor(self, monkeypatch):
+        """An in-memory curation derives each survivor's band keys once,
+        for both the dedup buckets and the collision forest."""
+        calls = []
+
+        def counting(signature, bands):
+            calls.append(bands)
+            return signature_band_keys(signature, bands)
+        for module in (dedup, families, streaming):
+            monkeypatch.setattr(module, "signature_band_keys", counting)
+        raw = GitHubScrapeSimulator(seed=0).scrape(200)
+        report = CurationPipeline(seed=0).run(raw).report
+        assert report.funnel.removed["dedup"] > 0
+        assert len(calls) == report.funnel.after_module_decl
+
+    def test_injected_band_keys_must_pair_with_shingles(self):
         with pytest.raises(ValueError):
-            deduplicate(["module a(); endmodule"], signatures=[(1, 2)])
+            deduplicate(["module a(); endmodule"], band_keys=[[(0, "k")]])
 
 
 class TestKeepVariants:

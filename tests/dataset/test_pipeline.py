@@ -1,6 +1,7 @@
 """Integration tests for curation: layering, pipeline, corruption, IO."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -26,6 +27,8 @@ from repro.dataset.records import (
     PyraNetDataset,
 )
 from repro.pipeline import ParallelExecutor
+from repro.pipeline.cache import ResultCache, content_key
+from repro.pipeline.diskcache import DiskCache
 
 
 def _legacy_curate(raw_files, seed):
@@ -224,6 +227,31 @@ class TestPipeline:
         assert any("github" == e.origin for e in result.dataset)
         lines = result.report.summary_lines()
         assert any("layer 6" in line for line in lines)
+
+
+class TestPipelineContract:
+    @pytest.mark.parametrize("field", ["batch_size", "n_partitions"])
+    def test_sizes_below_one_are_rejected_up_front(self, tmp_path, field):
+        with pytest.raises(ValueError, match=field):
+            CurationPipeline(spill_dir=tmp_path, **{field: 0})
+
+    def test_label_cache_entries_without_a_schema_are_not_served(
+            self, tmp_path):
+        """A label outcome stored under the schema-less key of earlier
+        versions (here: "syntax error" for every file, every need) must
+        miss on a warm run instead of being served."""
+        raw = GitHubScrapeSimulator(seed=4).scrape(40)
+        expected = [entry.to_dict() for entry in
+                    CurationPipeline(seed=4).run(raw).dataset]
+        stale = DiskCache(tmp_path)
+        for raw_file, needs in itertools.product(
+                raw, itertools.product((False, True), repeat=2)):
+            stale.put(content_key("curation/label", raw_file.content,
+                                  *needs), None)
+        cache = ResultCache(disk=DiskCache(tmp_path))
+        warm = CurationPipeline(seed=4, cache=cache).run(raw)
+        assert [entry.to_dict() for entry in warm.dataset] == expected
+        assert len(warm.dataset) > 0
 
 
 class TestCorruption:

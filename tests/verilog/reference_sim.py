@@ -5,13 +5,17 @@ once per kernel.  This module is the expression walk
 (``Evaluator._eval_inner``), the generator-per-statement interpreter
 and the kernel glue they need, as they were before that compiler, so
 ``test_sim_oracle.py`` can check the compiled simulator against them
-rule for rule.  It changes in two places only: selects on a memory
+rule for rule.  It changes in three places only: selects on a memory
 element (``mem[i][4:1]``) map their bit positions through the
 memory's declared range, as writes through the same select always did;
-and execution is bounded as the package bounds it, by one
+execution is bounded as the package bounds it, by one
 :class:`~repro.verilog.sim.interp.StepBudget` per entry (construction,
 settle, run or constant function call), charged at the same points as
-before.
+before; and every variable it declares (block locals, function inputs,
+locals and return values) takes its shape from the package's one
+declaration rule, :func:`~repro.verilog.sim.design.declared_signal`,
+so ``integer``/``time``/``real``, ranges and memories are sized as at
+module level.  The walk that executes them is its own.
 
 Elaboration, values and net resolution are shared with the package;
 exceptions are the package's classes, so type and message compare
@@ -40,6 +44,7 @@ from repro.verilog.sim.design import (
     SignalBinding,
     TaskBinding,
     TimedAlwaysProcess,
+    declared_signal,
 )
 from repro.verilog.sim.elaborate import elaborate
 from repro.verilog.sim.eval import EvalError
@@ -155,12 +160,10 @@ class Evaluator:
             binding = scope.lookup_function(expr.name)
             if binding is None:
                 raise EvalError(f"unknown function {expr.name!r}")
-            rng = binding.decl.range
-            if rng is None:
-                return 1, binding.decl.signed
-            msb = self.eval_const_int(rng.msb, binding.scope)
-            lsb = self.eval_const_int(rng.lsb, binding.scope)
-            return abs(msb - lsb) + 1, binding.decl.signed
+            ret = declared_signal(
+                binding.decl, binding.decl.name,
+                lambda bound: self.eval_const_int(bound, binding.scope))
+            return ret.width, ret.signed
         if isinstance(expr, ast.SystemCall):
             if expr.name in ("$signed", "$unsigned") and expr.args:
                 w, _ = self.width_of(expr.args[0], scope)
@@ -1021,17 +1024,9 @@ class FunctionMachine:
         func_scope = binding.scope.child(f"__fn_{decl.name}")
         const_eval = self.evaluator
         # Return variable.
-        if decl.range is not None:
-            msb = const_eval.eval_const_int(decl.range.msb, binding.scope)
-            lsb = const_eval.eval_const_int(decl.range.lsb, binding.scope)
-            width = abs(msb - lsb) + 1
-        else:
-            msb = lsb = 0
-            width = 1
-        ret_signal = Signal(
-            name=f"__ret_{decl.name}", width=width, signed=decl.signed,
-            msb=msb, lsb=lsb,
-        )
+        ret_signal = declared_signal(
+            decl, f"__ret_{decl.name}",
+            lambda bound: const_eval.eval_const_int(bound, binding.scope))
         self._store.add_local(ret_signal)
         func_scope.bind(decl.name, SignalBinding(signal=ret_signal))
         for formal, actual in zip(decl.inputs, args):
@@ -1054,28 +1049,9 @@ def declare_frame_local(
     decl: ast.Decl, scope: Scope, store: _FrameStore, evaluator: Evaluator
 ) -> None:
     """Create a frame-local variable for ``decl`` and bind it."""
-    msb = lsb = 0
-    width = 1
-    signed = decl.signed
-    if decl.kind == "integer":
-        width, msb, lsb, signed = 32, 31, 0, True
-    elif decl.range is not None:
-        msb = evaluator.eval_const_int(decl.range.msb, scope)
-        lsb = evaluator.eval_const_int(decl.range.lsb, scope)
-        width = abs(msb - lsb) + 1
-    array_size = 0
-    array_min = 0
-    if decl.array_dims:
-        lo = evaluator.eval_const_int(decl.array_dims[0].msb, scope)
-        hi = evaluator.eval_const_int(decl.array_dims[0].lsb, scope)
-        if lo > hi:
-            lo, hi = hi, lo
-        array_size = hi - lo + 1
-        array_min = lo
-    signal = Signal(
-        name=f"__local_{decl.name}", width=width, signed=signed,
-        msb=msb, lsb=lsb, array_size=array_size, array_min=array_min,
-    )
+    signal = declared_signal(
+        decl, f"__local_{decl.name}",
+        lambda bound: evaluator.eval_const_int(bound, scope))
     store.add_local(signal)
     scope.bind(decl.name, SignalBinding(signal=signal))
 
@@ -1130,7 +1106,6 @@ class Kernel:
         self._memories: Dict[str, List[Vec4]] = {}
         self._driver_contribs: Dict[str, Dict[int, Vec4]] = {}
         self._local_signals: Dict[str, Signal] = {}
-        self._local_memories: Dict[str, List[Vec4]] = {}
 
         self._comb_sens: Dict[str, List[int]] = {}
         self._edge_sens: Dict[str, List[Tuple[int, str]]] = {}
@@ -1204,19 +1179,15 @@ class Kernel:
         if existing is not None:
             scope.bind(decl.name, SignalBinding(signal=existing))
             return
-        msb = lsb = 0
-        width = 1
-        signed = decl.signed
-        if decl.kind == "integer":
-            width, msb, lsb, signed = 32, 31, 0, True
-        elif decl.range is not None:
-            msb = self.evaluator.eval_const_int(decl.range.msb, scope)
-            lsb = self.evaluator.eval_const_int(decl.range.lsb, scope)
-            width = abs(msb - lsb) + 1
-        signal = Signal(name=key, width=width, signed=signed, kind="var",
-                        msb=msb, lsb=lsb)
+        signal = declared_signal(
+            decl, key,
+            lambda bound: self.evaluator.eval_const_int(bound, scope))
         self._local_signals[key] = signal
-        self._values[key] = Vec4.all_x(width, signed)
+        if signal.is_memory:
+            self._memories[key] = [Vec4.all_x(signal.width, signal.signed)
+                                   for _ in range(signal.array_size)]
+        else:
+            self._values[key] = Vec4.all_x(signal.width, signal.signed)
         scope.bind(decl.name, SignalBinding(signal=signal))
 
     def system_task(self, stmt: ast.SystemTaskCall, scope: Scope) -> None:

@@ -1,6 +1,9 @@
 """Bounded equivalence / property checking over elaborated netlists."""
 
+import pytest
+
 from repro.verilog import Simulator
+from repro.verilog.sim import interp
 from repro.verilog.formal import (
     FORMAL_REPORT_SCHEMA,
     FormalReport,
@@ -239,6 +242,59 @@ class TestVerify:
         assert verify_code("")[0] is False
         ok, detail = verify_code(ADDER)
         assert ok and detail
+
+
+#: Two nested constant loops: about ``3 * N * N`` steps of one settle.
+NESTED_LOOPS = """
+module nest(input [7:0] a, output reg [7:0] y);
+  integer i, j, k;
+  always @* begin
+    k = 0;
+    for (i = 0; i < N; i = i + 1)
+      for (j = 0; j < N; j = j + 1)
+        k = k + 1;
+    y = a ^ k[7:0];
+  end
+endmodule
+"""
+
+
+class TestStepBudget:
+    """Formal executes a design's code under the simulator's step
+    budget, one per design model for the whole check."""
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(interp, "STEP_BUDGET", 2_000)
+        return f"step budget exceeded ({interp.STEP_BUDGET} steps)"
+
+    def test_nested_loops_over_the_budget_are_unsupported(self,
+                                                          small_budget):
+        source = NESTED_LOOPS.replace("N", "100")
+        assert verify_code(source) == (False, f"unsupported: {small_budget}")
+        for report in (verify_design(source),
+                       check_equivalence(source, source),
+                       check_properties(source, ["1'b1"])):
+            assert (report.status, report.detail) == ("unsupported",
+                                                      small_budget)
+            assert report.n_bdd_nodes == 0
+
+    def test_nested_loops_within_the_budget_verify(self):
+        report = verify_design(NESTED_LOOPS.replace("N", "50"))
+        assert report.status == "verified", report.detail
+
+    def test_budget_is_shared_by_every_cycle_of_a_check(self,
+                                                        small_budget):
+        """A clock cycle settles the 10 x 10 nest twice, about 450
+        steps: one cycle fits in the budget, ten do not."""
+        source = NESTED_LOOPS.replace("N", "10").replace(
+            "output reg [7:0] y);",
+            "input clk, output reg [7:0] y);\n  reg [7:0] q;\n"
+            "  initial q = 0;\n  always @(posedge clk) q <= y;")
+        assert check_equivalence(source, source, bound=1).status == (
+            "equivalent")
+        assert check_equivalence(source, source, bound=10).detail == (
+            small_budget)
 
 
 class TestReportContract:

@@ -300,6 +300,92 @@ def test_function_budget_edge_matches_reference(before):
                                f"step budget exceeded ({STEP_BUDGET} steps)")
 
 
+#: Declarations outside module scope, each the body of a module with an
+#: 8-bit input ``x`` and a 32-bit output ``y``: ``time``, ``real`` and a
+#: memory local to a named block of ``always @*``, of ``initial`` and of
+#: a function, and ``function integer`` called and constant-folded.
+#: Each is shaped by the one declaration rule, as at module level.
+DECLARATIONS = {
+    "time in always @*": """\
+  always @* begin : b
+    time t;
+    t = {x, 24'h0};
+    y_r = t;
+  end""",
+    "real in always @*": """\
+  always @* begin : b
+    real t;
+    t = {x, 24'h0};
+    y_r = t - 1;
+  end""",
+    "memory in always @*": """\
+  always @* begin : b
+    reg [7:0] m [0:3];
+    m[0] = 8'h11; m[1] = 8'h22; m[2] = 8'h33; m[3] = x;
+    y_r = {m[x[1:0]], m[3]};
+  end""",
+    "time in initial": """\
+  initial begin : b
+    time t;
+    t = {8'hab, 24'h0};
+    y_r = t;
+  end""",
+    "real in initial": """\
+  initial begin : b
+    real t;
+    t = -2;
+    y_r = t >>> 1;
+  end""",
+    "memory in initial": """\
+  initial begin : b
+    reg [7:0] m [4:1];
+    m[1] = 8'h5a; m[4] = 8'ha5;
+    y_r = {m[4], m[1], m[2]};
+  end""",
+    "time, real and memory in a function": """\
+  function [31:0] f;
+    input [7:0] v;
+    begin : b
+      time t;
+      real r;
+      reg [7:0] m [0:1];
+      t = {v, 24'h0};
+      r = v;
+      m[0] = v; m[1] = ~v;
+      f = t + r + {m[1], m[0]};
+    end
+  endfunction
+  always @* y_r = f(x);""",
+    "function integer, called": """\
+  function integer twice;
+    input [31:0] v;
+    twice = 2 * v;
+  endfunction
+  always @* y_r = twice(x) + twice(x + 8'd100);""",
+    "function integer, constant-folded": """\
+  function integer clog2;
+    input [31:0] value;
+    integer v;
+    begin
+      v = value - 1;
+      for (clog2 = 0; v > 0; clog2 = clog2 + 1) v = v >> 1;
+    end
+  endfunction
+  localparam W = clog2(200);
+  always @* y_r = W * 256 + clog2(x);""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECLARATIONS))
+def test_declaration_matches_reference(monkeypatch, name):
+    source = ("module decl(input [7:0] x, output [31:0] y);\n"
+              "  reg [31:0] y_r;\n  assign y = y_r;\n"
+              + DECLARATIONS[name] + "\nendmodule\n")
+    trace = _trace(Simulator, source, 0)
+    assert not isinstance(trace[-1], tuple), trace[-1]
+    assert trace == _trace(ReferenceSimulator, source, 0)
+
+
 #: Long operator chains, ternary chains and if/else chains: compiling
 #: one must not nest deeper than the tree walk evaluating it.
 DEEP = {
