@@ -7,19 +7,21 @@ augmented generator over whatever (description, code) pairs it was
 trained on:
 
 * **Memory**: every training pair becomes a memory item carrying its
-  loss weight and a recency stamp.  Per-sample loss weights multiply
+  loss weight, a recency stamp, a coherence prior (its compile status)
+  and its parsed module header.  Per-sample loss weights multiply
   retrieval propensity exactly as they scale gradient contributions in
   weighted SGD; recency decay gives presentation *order* (curriculum)
   a real effect, mirroring the recency bias of sequential fine-tuning.
-* **Fluency model**: a weighted n-gram LM trained on the same stream
-  scores retrieved exemplars, so both components respond to weighting.
-* **Generation**: sample an exemplar by softmax over
-  ``similarity^sharpness × weight × recency × fluency``, then *adapt*
-  it to the requested interface (module rename, parameter-default
-  rewriting from quantities in the description, positional port
-  renaming).  Adaptation is deliberately shallow — the model can
-  retarget an interface but cannot invent missing behaviour, exactly
-  the failure profile of mid-size code LLMs.
+* **Retrieval**: a prompt (description plus interface header) ranks
+  memory once by ``similarity^sharpness × weight × recency ×
+  coherence``, similarity being the cosine of word and port features.
+* **Generation**: each sample draws an exemplar from the prompt's
+  top-k by a softmax at the sampling temperature, then *adapts* it to
+  the requested interface (module rename, parameter-default rewriting
+  from quantities in the description, positional port renaming).
+  Adaptation is deliberately shallow — the model can retarget an
+  interface but cannot invent missing behaviour, exactly the failure
+  profile of mid-size code LLMs.
 * **Base-model imperfection**: each :class:`ModelProfile` (the
   CodeLlama-7B/13B / DeepSeek-Coder stand-ins) carries copy-noise
   rates: a chance per generation of introducing a functional slip or a
@@ -39,15 +41,15 @@ import math
 import random
 import re
 from collections import Counter
-from functools import lru_cache
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..corpus import mutate
+from ..verilog.frontend import join_scope
 from ..verilog.parser import ParseError, parse
+from ..verilog.syntax_checker import check
 from .interfaces import FineTunable, TrainStats, TrainingExample
-from .ngram import NGramLM
-from .tokenizer import tokenize_text
+from .tokenizer import tokenize_code, tokenize_text
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,10 @@ PROFILES: Dict[str, ModelProfile] = {
 }
 
 
+#: ``(module name, [(port, direction)])`` of a module's header.
+Header = Tuple[str, List[Tuple[str, str]]]
+
+
 @dataclass
 class _MemoryItem:
     features: Counter
@@ -94,8 +100,20 @@ class _MemoryItem:
     weight: float
     stamp: int
     ranking: int = 10
-    #: Well-formedness prior (see :meth:`_coherence_prior`).
+    #: Well-formedness prior (see :func:`_coherence_prior`).
     coherence: float = 1.0
+    #: Header of ``code``, None when it does not parse.  The parameter
+    #: rewrite in ``_adapt`` leaves it unchanged.
+    header: Optional[Header] = None
+
+
+class _Prompt(NamedTuple):
+    """What generation derives from a prompt alone."""
+
+    header: Optional[Header]
+    hints: Dict[str, int]
+    #: The top-k ``(score, item)`` pairs, best first.
+    ranked: List[Tuple[float, _MemoryItem]]
 
 
 #: Description phrases that imply parameter values, mapped to the
@@ -124,7 +142,7 @@ def extract_param_hints(description: str) -> Dict[str, int]:
     return hints
 
 
-def _port_feature_tokens(code_or_header: Optional[str]) -> List[str]:
+def _port_feature_tokens(header: Optional[Header]) -> List[str]:
     """Interface features: ``port:<name>`` tokens from a module header.
 
     Port names are strongly family-specific (``cout``, ``sin``,
@@ -133,13 +151,9 @@ def _port_feature_tokens(code_or_header: Optional[str]) -> List[str]:
     exemplars, just as a real model attends to the header it is asked
     to complete.
     """
-    if not code_or_header:
+    if header is None:
         return []
-    parsed = _parse_header(code_or_header)
-    if parsed is None:
-        return []
-    _, ports = parsed
-    return [f"port:{name}" for name, _ in ports]
+    return [f"port:{name}" for name, _ in header[1]]
 
 
 def _featurize(
@@ -205,7 +219,9 @@ class ConditionalCodeModel(FineTunable):
         self.recency_decay = recency_decay
         self.top_k = top_k
         self._memory: List[_MemoryItem] = []
-        self._lm = NGramLM(order=3)
+        #: ``(description, module header)`` -> its :class:`_Prompt`;
+        #: emptied whenever memory changes.
+        self._prompts: Dict[Tuple[str, Optional[str]], _Prompt] = {}
         self._step = 0
         self._pretrain_mass = 0.0
         self._finetune_mass = 0.0
@@ -243,7 +259,6 @@ class ConditionalCodeModel(FineTunable):
                 source = mutate.degrade_style(source, rng, 0.4).source
             self._add_memory(design.description, source, weight=1.0,
                              ranking=12)
-            self._lm.train(source, 1.0)
             self._pretrain_mass += 1.0
             self._coherence_sum += description_code_coherence(
                 design.description, source)
@@ -263,7 +278,8 @@ class ConditionalCodeModel(FineTunable):
                 example.description, example.code, weight=loss_weight,
                 ranking=example.ranking,
             )
-            stats.tokens += self._lm.train(example.code, loss_weight)
+            stats.tokens += len(tokenize_code(example.code,
+                                              keep_newlines=False)) + 1
             stats.examples += 1
             stats.effective_weight += loss_weight
             self._finetune_mass += loss_weight * max(example.ranking, 1) / 20.0
@@ -271,10 +287,6 @@ class ConditionalCodeModel(FineTunable):
                 example.description, example.code)
             self._coherence_weight += loss_weight
         return stats
-
-    def finish_phase(self) -> None:
-        """Phase boundary: mild count decay (recency in the LM)."""
-        self._lm.decay(0.97)
 
     def generate(
         self,
@@ -284,17 +296,17 @@ class ConditionalCodeModel(FineTunable):
         module_header: Optional[str] = None,
     ) -> str:
         rng = rng or random.Random(0)
+        prompt = self._prompt(description, module_header)
         if self._memory and rng.random() < self._confusion():
             # A model fine-tuned on incoherent (description, code)
             # pairs has learned that prompts do not constrain output:
             # its conditional distribution is close to its marginal.
             exemplar = rng.choice(self._memory)
         else:
-            exemplar = self._retrieve(description, temperature, rng,
-                                      module_header)
+            exemplar = self._retrieve(prompt.ranked, temperature, rng)
         if exemplar is None:
             return self._fallback(module_header)
-        code = self._adapt(exemplar.code, description, module_header)
+        code = self._adapt(exemplar, prompt)
         noise = self._effective_noise()
         if rng.random() < noise:
             code = mutate.corrupt_function(code, rng).source
@@ -306,27 +318,16 @@ class ConditionalCodeModel(FineTunable):
 
     def _add_memory(self, description: str, code: str, weight: float,
                     ranking: int) -> None:
-        features, norm = _featurize(
-            description, _port_feature_tokens(code)
-        )
+        with join_scope():  # one parse serves the header and the check
+            header = _parse_header(code)
+            coherence = _coherence_prior(code)
+        features, norm = _featurize(description, _port_feature_tokens(header))
         self._memory.append(_MemoryItem(
             features=features, norm=norm, code=code,
             weight=weight, stamp=self._step, ranking=ranking,
-            coherence=self._coherence_prior(code),
+            coherence=coherence, header=header,
         ))
-
-    @staticmethod
-    def _coherence_prior(code: str) -> float:
-        """How strongly the base model would reproduce this exemplar.
-
-        Pretrained code LLMs overwhelmingly prefer self-contained,
-        syntactically coherent completions; fragments with dangling
-        references or parse damage are out-of-distribution and get
-        sampled proportionally less even when they appeared in
-        fine-tuning data.  The prior uses the model's own notion of
-        coherence (a compile check), not dataset labels.
-        """
-        return _coherence_prior_cached(code)
+        self._prompts.clear()
 
     def _effective_noise(self) -> float:
         """Copy noise diluted by fine-tuning mass (never below 30% of
@@ -360,18 +361,22 @@ class ConditionalCodeModel(FineTunable):
         age = (self._step - stamp) / max(self._step, 1)
         return math.exp(-self.recency_decay * age)
 
-    def _retrieve(
-        self,
-        description: str,
-        temperature: float,
-        rng: random.Random,
-        module_header: Optional[str] = None,
-    ) -> Optional[_MemoryItem]:
-        if not self._memory:
-            return None
-        features, norm = _featurize(
-            description, _port_feature_tokens(module_header)
-        )
+    def _prompt(self, description: str,
+                module_header: Optional[str]) -> _Prompt:
+        """The prompt's header, parameter hints and top-k ranking of
+        memory, computed on its first request since memory changed."""
+        key = (description, module_header)
+        prompt = self._prompts.get(key)
+        if prompt is None:
+            header = _parse_header(module_header) if module_header else None
+            prompt = self._prompts[key] = _Prompt(
+                header, extract_param_hints(description),
+                self._rank(description, header))
+        return prompt
+
+    def _rank(self, description: str, header: Optional[Header]
+              ) -> List[Tuple[float, _MemoryItem]]:
+        features, norm = _featurize(description, _port_feature_tokens(header))
         scored: List[Tuple[float, _MemoryItem]] = []
         for item in self._memory:
             similarity = _cosine(features, norm, item.features, item.norm)
@@ -385,10 +390,16 @@ class ConditionalCodeModel(FineTunable):
             )
             if score > 0:
                 scored.append((score, item))
-        if not scored:
-            return rng.choice(self._memory)
         scored.sort(key=lambda pair: -pair[0])
-        top = scored[: self.top_k]
+        return scored[: self.top_k]
+
+    def _retrieve(self, top: List[Tuple[float, _MemoryItem]],
+                  temperature: float,
+                  rng: random.Random) -> Optional[_MemoryItem]:
+        if not self._memory:
+            return None
+        if not top:
+            return rng.choice(self._memory)
         # LLM sampling temperature maps onto a sharper retrieval
         # softmax: token-level temperature perturbs code mildly, it
         # does not make the model forget which design was asked for.
@@ -410,30 +421,18 @@ class ConditionalCodeModel(FineTunable):
 
     # -- adaptation ------------------------------------------------------------
 
-    def _adapt(
-        self,
-        code: str,
-        description: str,
-        module_header: Optional[str],
-    ) -> str:
-        hints = extract_param_hints(description)
-        adapted = code
-        for param, value in hints.items():
+    def _adapt(self, exemplar: _MemoryItem, prompt: _Prompt) -> str:
+        adapted = exemplar.code
+        for param, value in prompt.hints.items():
             adapted = re.sub(
                 rf"(parameter\s+{param}\s*=\s*)\d+",
                 lambda m: f"{m.group(1)}{value}",
                 adapted,
             )
-        if not module_header:
+        if prompt.header is None or exemplar.header is None:
             return adapted
-        required = _parse_header(module_header)
-        if required is None:
-            return adapted
-        req_name, req_ports = required
-        exemplar = _parse_header(adapted)
-        if exemplar is None:
-            return adapted
-        ex_name, ex_ports = exemplar
+        req_name, req_ports = prompt.header
+        ex_name, ex_ports = exemplar.header
         if ex_name != req_name:
             adapted = re.sub(
                 rf"\bmodule\s+{re.escape(ex_name)}\b",
@@ -464,7 +463,7 @@ class ConditionalCodeModel(FineTunable):
         return "module top_module();\nendmodule\n"
 
 
-def _parse_header(code: str) -> Optional[Tuple[str, List[Tuple[str, str]]]]:
+def _parse_header(code: str) -> Optional[Header]:
     """(module name, [(port, direction)]) of the first module."""
     try:
         tree = parse(code if "endmodule" in code
@@ -493,12 +492,16 @@ def _family_hint(family_name: str) -> str:
     return get_family(family_name).complexity_hint
 
 
-@lru_cache(maxsize=65536)
-def _coherence_prior_cached(code: str) -> float:
-    """Cached compile-status prior (the same corpus trains many
-    models; checking each file once is enough)."""
-    from ..verilog import check
+def _coherence_prior(code: str) -> float:
+    """How strongly the base model would reproduce this exemplar.
 
+    Pretrained code LLMs overwhelmingly prefer self-contained,
+    syntactically coherent completions; fragments with dangling
+    references or parse damage are out-of-distribution and get
+    sampled proportionally less even when they appeared in
+    fine-tuning data.  The prior uses the model's own notion of
+    coherence (a compile check), not dataset labels.
+    """
     status = check(code).status
     if status == "clean":
         return 1.0

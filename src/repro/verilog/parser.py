@@ -483,11 +483,12 @@ class Parser:
             # ANSI function ports.
             while not self._tok.is_op(")"):
                 self._expect_kw("input")
+                in_kind = "integer" if self._accept_kw("integer") else "wire"
                 in_signed = bool(self._accept_kw("signed"))
                 in_rng = self._parse_optional_range()
                 pname = self._expect_ident().text
                 func.inputs.append(
-                    ast.Decl(kind="wire", name=pname, range=in_rng,
+                    ast.Decl(kind=in_kind, name=pname, range=in_rng,
                              signed=in_signed)
                 )
                 if not self._accept_op(","):
@@ -498,12 +499,13 @@ class Parser:
         while self._tok.is_kw("input", "reg", "integer"):
             if self._tok.is_kw("input"):
                 self._next()
+                in_kind = "integer" if self._accept_kw("integer") else "wire"
                 in_signed = bool(self._accept_kw("signed"))
                 in_rng = self._parse_optional_range()
                 while True:
                     pname = self._expect_ident().text
                     func.inputs.append(
-                        ast.Decl(kind="wire", name=pname, range=in_rng,
+                        ast.Decl(kind=in_kind, name=pname, range=in_rng,
                                  signed=in_signed)
                     )
                     if not self._accept_op(","):
@@ -986,6 +988,10 @@ class Parser:
         ("**",),
     ]
 
+    #: Binary operator -> its index in ``_BINARY_LEVELS``.
+    _BINARY_LEVEL_OF = {op: level for level, ops in enumerate(_BINARY_LEVELS)
+                        for op in ops}
+
     _UNARY_OPS = ("+", "-", "!", "~", "&", "|", "^", "~&", "~|", "~^", "^~")
 
     def parse_expression(self) -> ast.Expr:
@@ -1000,18 +1006,22 @@ class Parser:
             )
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(self._BINARY_LEVELS):
-            return self._parse_unary()
-        ops = self._BINARY_LEVELS[level]
-        left = self._parse_binary(level + 1)
-        while self._tok.is_op(*ops):
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: operators binding at ``min_level`` or
+        tighter, every level left-associative."""
+        left = self._parse_unary()
+        while True:
+            tok = self._tok
             # "<=" in expression position is less-or-equal; assignment
             # contexts consume it before calling parse_expression.
-            op = self._next().text
-            right = self._parse_binary(level + 1)
-            left = ast.Binary(op=op, left=left, right=right, line=left.line)
-        return left
+            level = (self._BINARY_LEVEL_OF.get(tok.text, -1)
+                     if tok.kind is TokenKind.OPERATOR else -1)
+            if level < min_level:
+                return left
+            self._next()
+            left = ast.Binary(op=tok.text, left=left,
+                              right=self._parse_binary(level + 1),
+                              line=left.line)
 
     def _parse_unary(self) -> ast.Expr:
         tok = self._tok

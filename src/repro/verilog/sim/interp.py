@@ -506,6 +506,14 @@ class Compiler:
         #: id(binding) -> (binding, _Function); the binding is held so
         #: its id stays its own.
         self._functions = {}
+        #: id(block) -> (block, number) for unnamed blocks, likewise.
+        self._unnamed = {}
+
+    def _block_name(self, stmt: ast.Block) -> str:
+        """A block's scope name: its own, or a number of its own for an
+        unnamed block, so no two unnamed blocks share variables."""
+        return stmt.name or "__blk{}".format(self._unnamed.setdefault(
+            id(stmt), (stmt, len(self._unnamed)))[1])
 
     # -- functions -----------------------------------------------------------
 
@@ -567,7 +575,7 @@ class Compiler:
         if isinstance(stmt, ast.Block):
             if stmt.decls:
                 return self._declaring(
-                    stmt.decls, scope, stmt.name or "__blk", env,
+                    stmt.decls, scope, self._block_name(stmt), env,
                     lambda inner, e: self._seq(stmt.stmts, inner, e), False)
             body = self._seq(stmt.stmts, scope, env)
 
@@ -952,7 +960,7 @@ class Compiler:
         if isinstance(stmt, ast.Block):
             if stmt.decls:
                 return self._declaring(
-                    stmt.decls, scope, stmt.name or "__blk", env,
+                    stmt.decls, scope, self._block_name(stmt), env,
                     lambda inner, e: self._gen_seq(stmt.stmts, inner, e), True)
             body = self._gen_seq(stmt.stmts, scope, env)
 

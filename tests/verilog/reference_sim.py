@@ -5,17 +5,19 @@ once per kernel.  This module is the expression walk
 (``Evaluator._eval_inner``), the generator-per-statement interpreter
 and the kernel glue they need, as they were before that compiler, so
 ``test_sim_oracle.py`` can check the compiled simulator against them
-rule for rule.  It changes in three places only: selects on a memory
+rule for rule.  It changes in four places only: selects on a memory
 element (``mem[i][4:1]``) map their bit positions through the
 memory's declared range, as writes through the same select always did;
 execution is bounded as the package bounds it, by one
 :class:`~repro.verilog.sim.interp.StepBudget` per entry (construction,
 settle, run or constant function call), charged at the same points as
-before; and every variable it declares (block locals, function inputs,
+before; every variable it declares (block locals, function inputs,
 locals and return values) takes its shape from the package's one
 declaration rule, :func:`~repro.verilog.sim.design.declared_signal`,
 so ``integer``/``time``/``real``, ranges and memories are sized as at
-module level.  The walk that executes them is its own.
+module level; and each unnamed block's variables are its own, not
+shared with every other unnamed block in the same scope.  The walk
+that executes them is its own.
 
 Elaboration, values and net resolution are shared with the package;
 exceptions are the package's classes, so type and message compare
@@ -703,6 +705,8 @@ class Interpreter:
 
     def __init__(self, machine) -> None:
         self._machine = machine
+        #: id(block) -> (block, number), numbered on first entry.
+        self._unnamed: Dict[int, Tuple[ast.Block, int]] = {}
 
     def run_atomic(self, stmt: Optional[ast.Stmt], scope: Scope) -> None:
         """Execute a statement that must not suspend (comb/edge body)."""
@@ -724,7 +728,9 @@ class Interpreter:
         if isinstance(stmt, ast.Block):
             block_scope = scope
             if stmt.decls:
-                block_scope = scope.child(stmt.name or "__blk")
+                block_scope = scope.child(
+                    stmt.name or "__blk{}".format(self._unnamed.setdefault(
+                        id(stmt), (stmt, len(self._unnamed)))[1]))
                 for decl in stmt.decls:
                     machine.declare_local(decl, block_scope)
             for inner in stmt.stmts:

@@ -146,6 +146,108 @@ def test_parser_keeps_function_return_kind():
     assert kinds == {"clog2": "integer", "twice": "integer"}
 
 
+#: The clog2 idiom with an ``integer`` function input, in both port
+#: forms, and a sign test through the same kind of input.
+INTEGER_INPUTS = {
+    "old style": """\
+  function integer clog2;
+    input integer value;
+    integer v;
+    begin
+      v = value - 1;
+      for (clog2 = 0; v > 0; clog2 = clog2 + 1) v = v >> 1;
+    end
+  endfunction
+  function negative;
+    input integer value;
+    negative = value < 0;
+  endfunction""",
+    "ANSI": """\
+  function integer clog2(input integer value);
+    integer v;
+    begin
+      v = value - 1;
+      for (clog2 = 0; v > 0; clog2 = clog2 + 1) v = v >> 1;
+    end
+  endfunction
+  function negative(input integer value);
+    negative = value < 0;
+  endfunction""",
+}
+
+CLOG2_MODULE = """\
+module m(input [31:0] x, output [31:0] w, output n);
+{functions}
+  localparam W = clog2(200);
+  assign w = W;
+  assign n = negative(x);
+endmodule
+"""
+
+CLOG2_FOLDED = """\
+module m(input [31:0] x, output [31:0] w, output n);
+  assign w = 8;
+  assign n = x[31];
+endmodule
+"""
+
+
+@pytest.mark.parametrize("form", sorted(INTEGER_INPUTS))
+def test_integer_function_inputs_are_32_bit_signed(form):
+    from repro.verilog.parser import parse
+    source = CLOG2_MODULE.format(functions=INTEGER_INPUTS[form])
+    functions = [item for item in parse(source).modules[0].items
+                 if isinstance(item, ast.FunctionDecl)]
+    assert [decl.kind for f in functions for decl in f.inputs] == [
+        "integer", "integer"]
+    sim = Simulator(source)
+    sim.poke("x", 5)
+    assert (sim.peek_int("w"), sim.peek_int("n")) == (8, 0)
+    sim.poke("x", 0xFFFFFFF0)
+    assert sim.peek_int("n") == 1
+    # Formal folds clog2 but models no call of non-constant arguments.
+    report = check_equivalence(
+        source.replace("negative(x)", "x[31]"), CLOG2_FOLDED)
+    assert report.status == "equivalent", report.detail
+
+
+#: Unnamed blocks that each declare their own ``t``: siblings in one
+#: process, and one block in each of two processes.
+UNNAMED_BLOCKS = {
+    "siblings": """\
+module m(input [7:0] a, output reg [3:0] z, output reg [7:0] y);
+  always @* begin
+    begin reg [3:0] t; t = a[3:0]; z = t; end
+    begin reg [7:0] t; t = a; y = t; end
+  end
+endmodule
+""",
+    "two processes": """\
+module m(input [7:0] a, output reg [3:0] z, output reg [7:0] y);
+  always @* begin reg [3:0] t; t = a[3:0]; z = t; end
+  always @* begin reg [7:0] t; t = a; y = t; end
+endmodule
+""",
+}
+
+UNNAMED_DIRECT = """\
+module m(input [7:0] a, output reg [3:0] z, output reg [7:0] y);
+  always @* begin z = a[3:0]; y = a; end
+endmodule
+"""
+
+
+@pytest.mark.parametrize("case", sorted(UNNAMED_BLOCKS))
+def test_each_unnamed_block_declares_its_own_variables(case):
+    source = UNNAMED_BLOCKS[case]
+    sim = Simulator(source)
+    sim.poke("a", 0xab)
+    assert (sim.peek_int("y"), sim.peek_int("z")) == (0xab, 0xb)
+    assert verify_design(source).status == "verified"
+    report = check_equivalence(source, UNNAMED_DIRECT)
+    assert report.status == "equivalent", report.detail
+
+
 def _const(value):
     return ast.Number(width=None, value=value, text=str(value))
 

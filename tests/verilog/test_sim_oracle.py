@@ -303,8 +303,9 @@ def test_function_budget_edge_matches_reference(before):
 #: Declarations outside module scope, each the body of a module with an
 #: 8-bit input ``x`` and a 32-bit output ``y``: ``time``, ``real`` and a
 #: memory local to a named block of ``always @*``, of ``initial`` and of
-#: a function, and ``function integer`` called and constant-folded.
-#: Each is shaped by the one declaration rule, as at module level.
+#: a function, ``function integer`` called and constant-folded, and
+#: unnamed blocks that each declare their own ``t``.  Each is shaped by
+#: the one declaration rule, as at module level.
 DECLARATIONS = {
     "time in always @*": """\
   always @* begin : b
@@ -373,6 +374,16 @@ DECLARATIONS = {
   endfunction
   localparam W = clog2(200);
   always @* y_r = W * 256 + clog2(x);""",
+    "sibling unnamed blocks": """\
+  reg [3:0] lo;
+  always @* begin
+    begin reg [3:0] t; t = x[3:0]; lo = t; end
+    begin reg [7:0] t; t = x; y_r = {lo, t}; end
+  end""",
+    "unnamed blocks in two processes": """\
+  reg [3:0] lo;
+  always @* begin reg [3:0] t; t = x[3:0]; lo = t; end
+  always @* begin reg [7:0] t; t = x; y_r = {lo, t}; end""",
 }
 
 
