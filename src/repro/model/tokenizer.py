@@ -8,8 +8,7 @@ Two tokenizers live here:
 * :func:`tokenize_text` — lowercased word tokens for natural-language
   descriptions (retrieval features).
 
-:class:`Vocabulary` maps tokens to dense ids for the n-gram LM and the
-numpy transformer.
+:class:`Vocabulary` maps tokens to dense ids for the numpy transformer.
 """
 
 from __future__ import annotations

@@ -3,12 +3,19 @@
 Nodes are plain dataclasses; the parser builds them and the elaborator,
 metrics, style checker, and simulator walk them.  Every node carries the
 source line it started on so diagnostics can point at code.
+
+The tree's shape is written once, in ``_SHAPE`` at the end of this
+module; analysis walks handle the nodes they treat specially and
+recurse through :func:`children`, :func:`sub_statements` or
+:func:`statements` for the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +541,107 @@ class SourceFile:
             if module.name == name:
                 return module
         return None
+
+
+# ---------------------------------------------------------------------------
+# The tree's shape
+# ---------------------------------------------------------------------------
+
+#: Each node type's child fields in source order, except that an
+#: assignment's intra-assignment delay comes after its value.  A field
+#: marked ``*`` holds a list of nodes, the others one node or None.
+#: Types not listed have no children.
+_SHAPE: Dict[type, Tuple[str, ...]] = {
+    Select: ("base", "left", "right"),
+    Concat: ("parts*",),
+    Replicate: ("count", "value"),
+    Unary: ("operand",),
+    Binary: ("left", "right"),
+    Ternary: ("cond", "if_true", "if_false"),
+    FunctionCall: ("args*",),
+    SystemCall: ("args*",),
+    Block: ("stmts*",),
+    Assign: ("target", "value", "delay"),
+    If: ("cond", "then_stmt", "else_stmt"),
+    Case: ("subject", "items*"),
+    CaseItem: ("exprs*", "body"),
+    For: ("init", "cond", "step", "body"),
+    While: ("cond", "body"),
+    Repeat: ("count", "body"),
+    Forever: ("body",),
+    Delay: ("amount", "stmt"),
+    EventControl: ("sensitivity", "stmt"),
+    SensitivityList: ("items*",),
+    SensitivityItem: ("expr",),
+    Wait: ("cond", "stmt"),
+    SystemTaskCall: ("args*",),
+    TaskCall: ("args*",),
+}
+
+#: The fields of ``_SHAPE`` that hold statements.
+_STATEMENT_FIELDS = frozenset(
+    ["stmts*", "then_stmt", "else_stmt", "init", "step", "body", "stmt"])
+
+_Reader = Callable[[object], Sequence]
+
+
+def _reader(fields: Sequence[str]) -> _Reader:
+    """A function returning the nodes held in ``fields`` of a node."""
+    names = [name.rstrip("*") for name in fields]
+    lists = [name.endswith("*") for name in fields]
+    if lists == [True]:
+        return attrgetter(names[0])
+    if lists == [False]:
+        name = names[0]
+        return lambda node: (getattr(node, name),)
+    if not any(lists):
+        return attrgetter(*names)
+
+    def read(node) -> List:
+        nodes: List = []
+        for name, is_list in zip(names, lists):
+            if is_list:
+                nodes.extend(getattr(node, name))
+            else:
+                nodes.append(getattr(node, name))
+        return nodes
+    return read
+
+
+_CHILDREN: Dict[type, _Reader] = {
+    kind: _reader(fields) for kind, fields in _SHAPE.items()}
+_SUB_STATEMENTS: Dict[type, _Reader] = {
+    kind: _reader([name for name in fields if name in _STATEMENT_FIELDS])
+    for kind, fields in _SHAPE.items()
+    if issubclass(kind, Stmt) and _STATEMENT_FIELDS.intersection(fields)}
+# A case's statements sit in its arms.
+_SUB_STATEMENTS[Case] = lambda case: [arm.body for arm in case.items]
+
+
+def children(node) -> Sequence:
+    """The nodes in ``node``'s ``_SHAPE`` fields, in that order: its
+    sub-expressions, case arms, event list and sub-statements.  An empty
+    slot reads None; the sequence may be the node's own list, so do not
+    modify it."""
+    read = _CHILDREN.get(type(node))
+    return () if read is None else read(node)
+
+
+def sub_statements(stmt) -> Sequence:
+    """The statement slots directly inside ``stmt`` (a case's are its
+    arms' bodies), in source order; an empty slot reads None."""
+    read = _SUB_STATEMENTS.get(type(stmt))
+    return () if read is None else read(stmt)
+
+
+def statements(stmt) -> Iterator[Stmt]:
+    """``stmt`` and every statement nested in it, in source order.  The
+    walk keeps its own stack, so nesting depth is not limited."""
+    pending = [stmt]
+    while pending:
+        node = pending.pop()
+        if node is not None:
+            yield node
+            read = _SUB_STATEMENTS.get(type(node))
+            if read is not None:
+                pending.extend(reversed(read(node)))

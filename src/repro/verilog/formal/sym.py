@@ -346,13 +346,12 @@ class SymbolicContext:
     # =====================================================================
 
     def eval_sym(self, expr: ast.Expr, scope: Scope,
-                 ctx_width: Optional[int] = None,
-                 ctx_signed: Optional[bool] = None) -> SymVec:
+                 ctx_width: Optional[int] = None) -> SymVec:
         self._reject_impure(expr)
         try:
-            value = self.consts.eval(expr, scope, ctx_width, ctx_signed)
+            value = self.consts.eval(expr, scope, ctx_width)
         except EvalError:
-            return self._sym_inner(expr, scope, ctx_width, ctx_signed)
+            return self._sym_inner(expr, scope, ctx_width)
         except SimulationError as exc:
             raise FormalUnsupported(f"constant evaluation failed: {exc}")
         return SymVec.from_vec4(self.mgr, value)
@@ -376,8 +375,7 @@ class SymbolicContext:
         return width if ctx_width is None else max(width, ctx_width)
 
     def _sym_inner(self, expr: ast.Expr, scope: Scope,
-                   ctx_width: Optional[int],
-                   ctx_signed: Optional[bool]) -> SymVec:
+                   ctx_width: Optional[int]) -> SymVec:
         if isinstance(expr, ast.Number):
             if expr.xz_mask:
                 raise FormalUnsupported("x/z literal in expression")
@@ -412,7 +410,7 @@ class SymbolicContext:
         if isinstance(expr, ast.Binary):
             return self._sym_binary(expr, scope, ctx_width)
         if isinstance(expr, ast.Ternary):
-            return self._sym_ternary(expr, scope, ctx_width, ctx_signed)
+            return self._sym_ternary(expr, scope, ctx_width)
         if isinstance(expr, ast.FunctionCall):
             raise FormalUnsupported(
                 f"user function {expr.name!r} of non-constant arguments")
@@ -682,18 +680,17 @@ class SymbolicContext:
         return SymVec(mgr, width, bits, value.signed)
 
     def _sym_ternary(self, expr: ast.Ternary, scope: Scope,
-                     ctx_width: Optional[int],
-                     ctx_signed: Optional[bool]) -> SymVec:
+                     ctx_width: Optional[int]) -> SymVec:
         mgr = self.mgr
         cond = self.eval_sym(expr.cond, scope)
         width = self._ctx(expr, scope, ctx_width)
         truth = cond.truthy()
         if truth == TRUE:
-            return self.eval_sym(expr.if_true, scope, width, ctx_signed)
+            return self.eval_sym(expr.if_true, scope, width)
         if truth == FALSE:
-            return self.eval_sym(expr.if_false, scope, width, ctx_signed)
-        a = self.eval_sym(expr.if_true, scope, width, ctx_signed)
-        b = self.eval_sym(expr.if_false, scope, width, ctx_signed)
+            return self.eval_sym(expr.if_false, scope, width)
+        a = self.eval_sym(expr.if_true, scope, width)
+        b = self.eval_sym(expr.if_false, scope, width)
         a = a.resize(width)
         b = b.resize(width)
         if a.signed != b.signed:
@@ -944,24 +941,14 @@ def collect_writes(node, scope: Scope, writes: Set[str]) -> None:
     if isinstance(node, ast.Assign):
         _target_signals(node.target, scope, writes)
         return
-    if isinstance(node, ast.Block):
-        block_scope = scope
-        if node.decls:
-            # Locals shadow outer names; writes to them are not design
-            # writes.  A synthetic child scope makes lookup miss them.
-            block_scope = scope.child(node.name or "__blk")
-            for decl in node.decls:
-                block_scope.bind(decl.name, ConstBinding(
-                    value=Vec4.from_int(0, 1)))
-        for inner in node.stmts:
-            collect_writes(inner, block_scope, writes)
-        return
-    if isinstance(node, ast.Case):
-        for item in node.items:
-            collect_writes(item.body, scope, writes)
-        return
-    for name in ("then_stmt", "else_stmt", "init", "step", "body", "stmt"):
-        collect_writes(getattr(node, name, None), scope, writes)
+    if isinstance(node, ast.Block) and node.decls:
+        # Locals shadow outer names; writes to them are not design
+        # writes.  A synthetic child scope makes lookup miss them.
+        scope = scope.child(node.name or "__blk")
+        for decl in node.decls:
+            scope.bind(decl.name, ConstBinding(value=Vec4.from_int(0, 1)))
+    for inner in ast.sub_statements(node):
+        collect_writes(inner, scope, writes)
 
 
 def _target_signals(target, scope: Scope, writes: Set[str]) -> None:

@@ -233,27 +233,8 @@ class _Walker:
         self.m.expression_nodes += 1
         if isinstance(expr, ast.Ternary):
             self.m.ternaries += 1
-            self._walk_expr(expr.cond)
-            self._walk_expr(expr.if_true)
-            self._walk_expr(expr.if_false)
-        elif isinstance(expr, ast.Binary):
-            self._walk_expr(expr.left)
-            self._walk_expr(expr.right)
-        elif isinstance(expr, ast.Unary):
-            self._walk_expr(expr.operand)
-        elif isinstance(expr, ast.Select):
-            self._walk_expr(expr.base)
-            self._walk_expr(expr.left)
-            self._walk_expr(expr.right)
-        elif isinstance(expr, ast.Concat):
-            for part in expr.parts:
-                self._walk_expr(part)
-        elif isinstance(expr, ast.Replicate):
-            self._walk_expr(expr.count)
-            self._walk_expr(expr.value)
-        elif isinstance(expr, (ast.FunctionCall, ast.SystemCall)):
-            for arg in expr.args:
-                self._walk_expr(arg)
+        for child in ast.children(expr):
+            self._walk_expr(child)
 
 
 def _static_range_width(rng: Optional[ast.Range]) -> int:

@@ -31,7 +31,8 @@ from .design import (
     TimedAlwaysProcess,
     declared_signal,
 )
-from .eval import EvalError, Evaluator, const_evaluator
+from .eval import EvalError, const_evaluator
+from .interp import const_function_caller
 from .values import Vec4
 
 #: Maximum generate-loop iterations before declaring a runaway loop.
@@ -55,6 +56,7 @@ class Elaborator:
         self._library = dict(library)
         self._design = Design()
         self._instance_stack: List[str] = []
+        self._const = const_evaluator(const_function_caller)
 
     # -- public ------------------------------------------------------------
 
@@ -153,22 +155,19 @@ class Elaborator:
         scope: Scope,
         overrides: Dict[str, Vec4],
     ) -> None:
-        from .interp import const_function_caller  # local: avoids cycle
-
-        evaluator = const_evaluator(const_function_caller)
         for param in module.parameters:
             if not param.local and param.name in overrides:
                 value = overrides[param.name]
             else:
                 try:
-                    value = evaluator.eval(param.value, scope)
+                    value = self._const.eval(param.value, scope)
                 except EvalError as exc:
                     raise ElaborationError(
                         f"parameter {param.name!r} of {module.name!r} is "
                         f"not constant: {exc}"
                     ) from exc
             if param.range is not None:
-                width = self._range_width(param.range, scope, evaluator)
+                width = self._range_width(param.range, scope)
                 value = value.resize(width) if width > value.width else Vec4(
                     width, value.val, value.xz, value.z, param.signed
                 )
@@ -182,17 +181,10 @@ class Elaborator:
 
     # -- signals ------------------------------------------------------------
 
-    def _range_width(
-        self, rng: ast.Range, scope: Scope, evaluator: Evaluator
-    ) -> int:
-        msb = evaluator.eval_const_int(rng.msb, scope)
-        lsb = evaluator.eval_const_int(rng.lsb, scope)
+    def _range_width(self, rng: ast.Range, scope: Scope) -> int:
+        msb = self._const.eval_const_int(rng.msb, scope)
+        lsb = self._const.eval_const_int(rng.lsb, scope)
         return abs(msb - lsb) + 1
-
-    def _evaluator(self) -> Evaluator:
-        from .interp import const_function_caller
-
-        return const_evaluator(const_function_caller)
 
     def _create_port_signal(
         self,
@@ -218,10 +210,9 @@ class Elaborator:
         return self._create_decl_signal(decl, scope)
 
     def _create_decl_signal(self, decl: ast.Decl, scope: Scope) -> Signal:
-        evaluator = self._evaluator()
         signal = declared_signal(
             decl, scope.flat_name(decl.name),
-            lambda expr: evaluator.eval_const_int(expr, scope),
+            lambda expr: self._const.eval_const_int(expr, scope),
             kind="var" if decl.kind in _VAR_KINDS else "net")
         self._design.add_signal(signal)
         scope.bind(decl.name, SignalBinding(signal=signal))
@@ -405,18 +396,12 @@ class Elaborator:
                 f"module {inst.module_name!r} not found "
                 f"(instance {inst.instance_name!r})"
             )
-        evaluator = self._evaluator()
         overrides: Dict[str, Vec4] = {}
         public_params = [p for p in child_module.parameters if not p.local]
         for index, conn in enumerate(inst.param_overrides):
             if conn.expr is None:
                 continue
-            try:
-                value = Evaluator(ConstScopeStore(scope, self._design)).eval(
-                    conn.expr, scope
-                )
-            except EvalError:
-                value = evaluator.eval(conn.expr, scope)
+            value = self._const.eval(conn.expr, scope)
             if conn.name is not None:
                 overrides[conn.name] = value
             else:
@@ -554,7 +539,7 @@ class Elaborator:
         module: ast.Module,
         port_signals: Dict[str, Signal],
     ) -> None:
-        evaluator = self._evaluator()
+        evaluator = self._const
         # The genvar must already be declared; we rebind per iteration.
         value = evaluator.eval_const_int(gen.init, _genvar_scope(scope, gen.genvar, 0))
         iterations = 0
@@ -585,37 +570,9 @@ class Elaborator:
         module: ast.Module,
         port_signals: Dict[str, Signal],
     ) -> None:
-        evaluator = self._evaluator()
-        cond = evaluator.eval(gen.cond, scope)
+        cond = self._const.eval(gen.cond, scope)
         items = gen.then_items if cond.is_true() else gen.else_items
         self._elaborate_items(items, scope, module, {})
-
-
-class ConstScopeStore:
-    """Store that resolves parameter identifiers but rejects signals.
-
-    Used when evaluating instance parameter overrides, which may refer
-    to the parent's parameters (already folded into the scope)."""
-
-    def __init__(self, scope: Scope, design: Design) -> None:
-        self.signals = design.signals
-        self._scope = scope
-
-    def read(self, signal: Signal) -> Vec4:
-        raise EvalError(
-            f"signal {signal.name!r} used in constant context"
-        )
-
-    def read_mem(self, signal: Signal, index: int) -> Vec4:
-        raise EvalError(
-            f"memory {signal.name!r} used in constant context"
-        )
-
-    def now(self) -> int:
-        return 0
-
-    def random(self) -> int:
-        raise EvalError("$random in constant context")
 
 
 def _genvar_scope(scope: Scope, genvar: str, value: int) -> Scope:
@@ -658,73 +615,21 @@ def collect_reads(node, scope: Scope, reads: Set[str],
         binding = scope.lookup(node.name)
         if isinstance(binding, SignalBinding):
             reads.add(binding.signal.name)
-    elif isinstance(node, ast.Binary):
-        collect_reads(node.left, scope, reads, _seen)
-        collect_reads(node.right, scope, reads, _seen)
-    elif isinstance(node, ast.Select):
-        collect_reads(node.base, scope, reads, _seen)
-        collect_reads(node.left, scope, reads, _seen)
-        collect_reads(node.right, scope, reads, _seen)
-    elif isinstance(node, ast.Unary):
-        collect_reads(node.operand, scope, reads, _seen)
-    elif isinstance(node, ast.Ternary):
-        collect_reads(node.cond, scope, reads, _seen)
-        collect_reads(node.if_true, scope, reads, _seen)
-        collect_reads(node.if_false, scope, reads, _seen)
-    elif isinstance(node, ast.Concat):
-        for part in node.parts:
-            collect_reads(part, scope, reads, _seen)
-    elif isinstance(node, ast.Replicate):
-        collect_reads(node.count, scope, reads, _seen)
+        return
+    if isinstance(node, ast.Assign):
+        collect_lvalue_index_reads(node.target, scope, reads, _seen)
         collect_reads(node.value, scope, reads, _seen)
-    elif isinstance(node, ast.FunctionCall):
-        for arg in node.args:
-            collect_reads(arg, scope, reads, _seen)
+        return
+    if isinstance(node, ast.EventControl):
+        collect_reads(node.stmt, scope, reads, _seen)
+        return
+    if isinstance(node, ast.FunctionCall):
         binding = scope.lookup_function(node.name)
         if binding is not None and id(binding) not in _seen:
             _seen.add(id(binding))
             collect_reads(binding.decl.body, binding.scope, reads, _seen)
-    elif isinstance(node, (ast.SystemCall, ast.SystemTaskCall,
-                           ast.TaskCall)):
-        for arg in node.args:
-            collect_reads(arg, scope, reads, _seen)
-    elif isinstance(node, ast.Assign):
-        collect_lvalue_index_reads(node.target, scope, reads, _seen)
-        collect_reads(node.value, scope, reads, _seen)
-    elif isinstance(node, ast.Block):
-        for inner in node.stmts:
-            collect_reads(inner, scope, reads, _seen)
-    elif isinstance(node, ast.If):
-        collect_reads(node.cond, scope, reads, _seen)
-        collect_reads(node.then_stmt, scope, reads, _seen)
-        collect_reads(node.else_stmt, scope, reads, _seen)
-    elif isinstance(node, ast.Case):
-        collect_reads(node.subject, scope, reads, _seen)
-        for item in node.items:
-            for expr in item.exprs:
-                collect_reads(expr, scope, reads, _seen)
-            collect_reads(item.body, scope, reads, _seen)
-    elif isinstance(node, ast.For):
-        collect_reads(node.init, scope, reads, _seen)
-        collect_reads(node.cond, scope, reads, _seen)
-        collect_reads(node.step, scope, reads, _seen)
-        collect_reads(node.body, scope, reads, _seen)
-    elif isinstance(node, ast.While):
-        collect_reads(node.cond, scope, reads, _seen)
-        collect_reads(node.body, scope, reads, _seen)
-    elif isinstance(node, ast.Repeat):
-        collect_reads(node.count, scope, reads, _seen)
-        collect_reads(node.body, scope, reads, _seen)
-    elif isinstance(node, ast.Forever):
-        collect_reads(node.body, scope, reads, _seen)
-    elif isinstance(node, ast.Delay):
-        collect_reads(node.amount, scope, reads, _seen)
-        collect_reads(node.stmt, scope, reads, _seen)
-    elif isinstance(node, ast.EventControl):
-        collect_reads(node.stmt, scope, reads, _seen)
-    elif isinstance(node, ast.Wait):
-        collect_reads(node.cond, scope, reads, _seen)
-        collect_reads(node.stmt, scope, reads, _seen)
+    for child in ast.children(node):
+        collect_reads(child, scope, reads, _seen)
 
 
 def collect_lvalue_index_reads(target: Optional[ast.Expr], scope: Scope,

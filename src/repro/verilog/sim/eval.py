@@ -873,7 +873,6 @@ class Evaluator:
         expr: ast.Expr,
         scope: Scope,
         ctx_width: Optional[int] = None,
-        ctx_signed: Optional[bool] = None,
     ) -> Vec4:
         """Evaluate ``expr``; when ``ctx_width`` is given, the expression
         is computed at ``max(self_width, ctx_width)`` bits so carries are

@@ -27,7 +27,7 @@ wherever it runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .. import ast_nodes as ast
 from .design import (
@@ -954,7 +954,7 @@ class Compiler:
         """Generator-function form of a thread statement."""
         if stmt is None:
             return _no_suspend
-        if not _suspends(stmt, scope, 0):
+        if not _suspends(stmt, scope):
             return _as_gen(self._plain(stmt, scope, env))
         xc = env.xc
         if isinstance(stmt, ast.Block):
@@ -1070,24 +1070,20 @@ def _frame_write(fr, ops: Sequence[WriteOp], value: Vec4) -> None:
             fr[slot] = fr[slot].set_slice(op.hi, op.lo, piece)
 
 
-def _suspends(stmt, scope: Scope, depth: int) -> bool:
-    """Can executing ``stmt`` reach a ``#``, ``@`` or ``wait``?"""
-    if stmt is None or depth > 64:
-        return False
-    if isinstance(stmt, (ast.Delay, ast.EventControl, ast.Wait)):
-        return True
-    if isinstance(stmt, ast.Block):
-        return any(_suspends(s, scope, depth + 1) for s in stmt.stmts)
-    if isinstance(stmt, ast.If):
-        return (_suspends(stmt.then_stmt, scope, depth + 1)
-                or _suspends(stmt.else_stmt, scope, depth + 1))
-    if isinstance(stmt, ast.Case):
-        return any(_suspends(item.body, scope, depth + 1)
-                   for item in stmt.items)
-    if isinstance(stmt, (ast.For, ast.While, ast.Repeat, ast.Forever)):
-        return _suspends(stmt.body, scope, depth + 1)
-    if isinstance(stmt, ast.TaskCall):
-        binding = scope.lookup(stmt.name)
-        return (isinstance(binding, TaskBinding)
-                and _suspends(binding.decl.body, binding.scope, depth + 1))
+def _suspends(stmt, scope: Scope,
+              _seen: Optional[Set[int]] = None) -> bool:
+    """Can executing ``stmt`` reach a ``#``, ``@`` or ``wait``?  The
+    body of each task it calls is read once, so a recursive task ends
+    the walk, and nesting depth is not limited."""
+    if _seen is None:
+        _seen = set()
+    for node in ast.statements(stmt):
+        if isinstance(node, (ast.Delay, ast.EventControl, ast.Wait)):
+            return True
+        if isinstance(node, ast.TaskCall):
+            binding = scope.lookup(node.name)
+            if isinstance(binding, TaskBinding) and id(binding) not in _seen:
+                _seen.add(id(binding))
+                if _suspends(binding.decl.body, binding.scope, _seen):
+                    return True
     return False

@@ -55,6 +55,7 @@ from .interp import (
     StepBudget,
     StopSimulation,
     WriteOp,
+    _suspends,
     compile_lvalue,
     split_value_for_ops,
 )
@@ -549,8 +550,7 @@ class Kernel:
         except StopIteration:
             if thread.restart_body:
                 proc = self.design.processes[thread.proc_index]
-                has_timing = _body_has_timing(proc.body)
-                if not has_timing:
+                if not _suspends(proc.body, proc.scope):
                     raise SimulationError(
                         "always block without sensitivity or timing "
                         f"controls (line {proc.line})"
@@ -763,21 +763,3 @@ def _radix_text(value: Vec4, bits_per_digit: int) -> str:
             digits.append(format(chunk.val, "x"))
         pos += bits_per_digit
     return "".join(reversed(digits))
-
-
-def _body_has_timing(stmt: Optional[ast.Stmt]) -> bool:
-    """Does a statement tree contain #, @, or wait controls?"""
-    if stmt is None:
-        return False
-    if isinstance(stmt, (ast.Delay, ast.EventControl, ast.Wait)):
-        return True
-    children: List[Optional[ast.Stmt]] = []
-    if isinstance(stmt, ast.Block):
-        children = list(stmt.stmts)
-    elif isinstance(stmt, ast.If):
-        children = [stmt.then_stmt, stmt.else_stmt]
-    elif isinstance(stmt, ast.Case):
-        children = [item.body for item in stmt.items]
-    elif isinstance(stmt, (ast.For, ast.While, ast.Repeat, ast.Forever)):
-        children = [stmt.body]
-    return any(_body_has_timing(child) for child in children)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from . import ast_nodes as ast
 from .parser import ParseError, parse
@@ -136,15 +136,21 @@ class _AstRules:
         self._out = out
 
     def run(self) -> None:
-        module = self._module
         self._check_port_style()
         self._check_naming()
-        has_parameters = bool(module.parameters)
-        for item in module.items:
-            if isinstance(item, ast.Always):
-                self._check_always(item)
-        self._check_magic_numbers(has_parameters)
-        self._check_unused_signals()
+        # One walk per process body; its data expressions feed the
+        # magic-number and unused-signal rules too.
+        values: List[Optional[ast.Expr]] = []
+        targets: List[ast.Expr] = []
+        for item in self._module.items:
+            if isinstance(item, (ast.Always, ast.Initial)):
+                stmts = list(ast.statements(item.body))
+                first = len(values)
+                _data_exprs(stmts, values, targets)
+                if isinstance(item, ast.Always):
+                    self._check_always(item, stmts, values[first:])
+        self._check_magic_numbers(values)
+        self._check_unused_signals(values + targets)
 
     def _check_port_style(self) -> None:
         undirected = [
@@ -189,14 +195,17 @@ class _AstRules:
                 f"meaningless internal names: {cryptic_internals[:5]}",
                 0.9 * len(cryptic_internals), self._module.line))
 
-    def _check_always(self, item: ast.Always) -> None:
+    def _check_always(self, item: ast.Always, stmts: List[ast.Stmt],
+                      values: List[Optional[ast.Expr]]) -> None:
         sens = item.sensitivity
         if sens is None:
             return
         sequential = not sens.star and any(
             s.edge != "level" for s in sens.items
         )
-        blocking, nonblocking = _count_assign_kinds(item.body)
+        assigns = [s for s in stmts if isinstance(s, ast.Assign)]
+        blocking = sum(1 for s in assigns if s.blocking)
+        nonblocking = len(assigns) - blocking
         if sequential and blocking:
             self._out.append(Violation(
                 "S010",
@@ -208,22 +217,26 @@ class _AstRules:
                 f"{nonblocking} non-blocking assignment(s) in a "
                 "combinational always block", 1.0, item.line))
         if not sequential:
-            if _has_incomplete_case(item.body):
+            if any(isinstance(s, ast.Case)
+                   and all(arm.exprs for arm in s.items) for s in stmts):
                 self._out.append(Violation(
                     "S012",
                     "case without default in combinational logic "
                     "(latch risk)", 1.5, item.line))
-            if _has_if_without_else(item.body):
+            # else-if chains count through their last if; a bare if
+            # that assigns is the risk.
+            if any(isinstance(s, ast.If) and s.else_stmt is None
+                   and _assigns_anything(s.then_stmt) for s in stmts):
                 self._out.append(Violation(
                     "S013",
                     "if without else in combinational logic (latch risk)",
                     1.0, item.line))
-            if not sens.star and _sensitivity_incomplete(item):
+            if not sens.star and _sensitivity_incomplete(sens, values):
                 self._out.append(Violation(
                     "S014",
                     "explicit sensitivity list may be incomplete "
                     "(prefer @*)", 0.75, item.line))
-        if _has_delay(item.body) and sequential:
+        if sequential and any(isinstance(s, ast.Delay) for s in stmts):
             self._out.append(Violation(
                 "S015", "delay control inside clocked logic", 1.0,
                 item.line))
@@ -232,7 +245,8 @@ class _AstRules:
             self._out.append(Violation(
                 "S016", f"deeply nested statements (depth {depth})",
                 0.75, item.line))
-        chain = _longest_if_chain(item.body)
+        chain = max((_if_chain_length(s) for s in stmts
+                     if isinstance(s, ast.If)), default=0)
         if chain >= 5:
             self._out.append(Violation(
                 "S017",
@@ -240,60 +254,46 @@ class _AstRules:
                 "would be clearer and faster to synthesise)", 0.75,
                 item.line))
 
-    def _check_magic_numbers(self, has_parameters: bool) -> None:
-        numbers: List[int] = []
-
-        def visit(expr: Optional[ast.Expr]) -> None:
-            if expr is None:
-                return
-            if isinstance(expr, ast.Number):
-                if expr.value > 64 and expr.width is None:
-                    numbers.append(expr.value)
-            for child in _expr_children(expr):
-                visit(child)
-
-        for item in self._module.items:
-            if isinstance(item, ast.ContinuousAssign):
-                visit(item.value)
-            elif isinstance(item, (ast.Always, ast.Initial)):
-                _visit_stmt_exprs(item.body, visit)
-        if len(numbers) >= 3 and not has_parameters:
+    def _check_magic_numbers(
+        self, process_values: List[Optional[ast.Expr]]
+    ) -> None:
+        roots = process_values + [
+            item.value for item in self._module.items
+            if isinstance(item, ast.ContinuousAssign)
+        ]
+        numbers = [
+            expr.value for expr in _expr_nodes(roots)
+            if isinstance(expr, ast.Number)
+            and expr.value > 64 and expr.width is None
+        ]
+        if len(numbers) >= 3 and not self._module.parameters:
             self._out.append(Violation(
                 "S020",
                 f"magic numbers ({sorted(set(numbers))[:4]}…) without "
                 "parameters", 0.75, self._module.line))
 
-    def _check_unused_signals(self) -> None:
+    def _check_unused_signals(
+        self, process_exprs: List[Optional[ast.Expr]]
+    ) -> None:
         declared: Dict[str, int] = {}
         for item in self._module.items:
             if isinstance(item, ast.Decl):
                 declared[item.name] = item.line
         if not declared:
             return
-        used: Set[str] = set()
-
-        def visit(expr: Optional[ast.Expr]) -> None:
-            if expr is None:
-                return
-            if isinstance(expr, ast.Identifier):
-                used.add(expr.name)
-            for child in _expr_children(expr):
-                visit(child)
-
+        roots = list(process_exprs)
         for item in self._module.items:
             if isinstance(item, ast.ContinuousAssign):
-                visit(item.target)
-                visit(item.value)
-            elif isinstance(item, (ast.Always, ast.Initial)):
-                _visit_stmt_exprs(item.body, visit, include_targets=True)
+                roots += [item.target, item.value]
             elif isinstance(item, ast.Instance):
-                for conn in item.connections + item.param_overrides:
-                    visit(conn.expr)
+                roots += [conn.expr
+                          for conn in item.connections + item.param_overrides]
             elif isinstance(item, ast.GateInstance):
-                for conn in item.connections:
-                    visit(conn)
-            elif isinstance(item, ast.Decl) and item.init is not None:
-                visit(item.init)
+                roots += item.connections
+            elif isinstance(item, ast.Decl):
+                roots.append(item.init)
+        used = {expr.name for expr in _expr_nodes(roots)
+                if isinstance(expr, ast.Identifier)}
         unused = sorted(set(declared) - used)
         if unused:
             self._out.append(Violation(
@@ -304,178 +304,61 @@ class _AstRules:
 # -- AST helpers ---------------------------------------------------------------
 
 
-def _expr_children(expr: ast.Expr) -> List[Optional[ast.Expr]]:
-    if isinstance(expr, ast.Binary):
-        return [expr.left, expr.right]
-    if isinstance(expr, ast.Unary):
-        return [expr.operand]
-    if isinstance(expr, ast.Ternary):
-        return [expr.cond, expr.if_true, expr.if_false]
-    if isinstance(expr, ast.Select):
-        return [expr.base, expr.left, expr.right]
-    if isinstance(expr, ast.Concat):
-        return list(expr.parts)
-    if isinstance(expr, ast.Replicate):
-        return [expr.count, expr.value]
-    if isinstance(expr, (ast.FunctionCall, ast.SystemCall)):
-        return list(expr.args)
-    return []
+def _data_exprs(stmts: List[ast.Stmt], values: List[Optional[ast.Expr]],
+                targets: List[ast.Expr]) -> None:
+    """Add the expressions ``stmts`` compute with to ``values``, and
+    their assignment targets to ``targets``.  Delay amounts, event lists
+    and ``wait`` conditions time a process; they are not data."""
+    for stmt in stmts:
+        if isinstance(stmt, ast.Assign):
+            values.append(stmt.value)
+            targets.append(stmt.target)
+        elif not isinstance(stmt, (ast.Delay, ast.EventControl, ast.Wait)):
+            for child in ast.children(stmt):
+                if isinstance(child, ast.Expr):
+                    values.append(child)
+                elif isinstance(child, ast.CaseItem):
+                    values += [label for label in ast.children(child)
+                               if isinstance(label, ast.Expr)]
 
 
-def _visit_stmt_exprs(stmt, visit, include_targets: bool = False) -> None:
-    if stmt is None:
-        return
-    if isinstance(stmt, ast.Block):
-        for inner in stmt.stmts:
-            _visit_stmt_exprs(inner, visit, include_targets)
-    elif isinstance(stmt, ast.Assign):
-        visit(stmt.value)
-        if include_targets:
-            visit(stmt.target)
-    elif isinstance(stmt, ast.If):
-        visit(stmt.cond)
-        _visit_stmt_exprs(stmt.then_stmt, visit, include_targets)
-        _visit_stmt_exprs(stmt.else_stmt, visit, include_targets)
-    elif isinstance(stmt, ast.Case):
-        visit(stmt.subject)
-        for item in stmt.items:
-            for expr in item.exprs:
-                visit(expr)
-            _visit_stmt_exprs(item.body, visit, include_targets)
-    elif isinstance(stmt, (ast.For, ast.While, ast.Repeat, ast.Forever)):
-        if isinstance(stmt, ast.While):
-            visit(stmt.cond)
-        if isinstance(stmt, ast.Repeat):
-            visit(stmt.count)
-        _visit_stmt_exprs(stmt.body, visit, include_targets)
-        if isinstance(stmt, ast.For):
-            _visit_stmt_exprs(stmt.init, visit, include_targets)
-            visit(stmt.cond)
-            _visit_stmt_exprs(stmt.step, visit, include_targets)
-    elif isinstance(stmt, (ast.Delay, ast.EventControl, ast.Wait)):
-        _visit_stmt_exprs(stmt.stmt, visit, include_targets)
-    elif isinstance(stmt, (ast.SystemTaskCall, ast.TaskCall)):
-        for arg in stmt.args:
-            visit(arg)
+def _expr_nodes(roots: List[Optional[ast.Expr]]) -> Iterator[ast.Expr]:
+    """Every expression node in the trees ``roots``."""
+    pending = list(roots)
+    while pending:
+        expr = pending.pop()
+        if expr is not None:
+            yield expr
+            pending.extend(ast.children(expr))
 
 
-def _count_assign_kinds(stmt) -> Tuple[int, int]:
-    blocking = nonblocking = 0
-
-    def walk(node) -> None:
-        nonlocal blocking, nonblocking
-        if node is None:
-            return
-        if isinstance(node, ast.Assign):
-            if node.blocking:
-                blocking += 1
-            else:
-                nonblocking += 1
-        for child in _stmt_children(node):
-            walk(child)
-
-    walk(stmt)
-    return blocking, nonblocking
+def _assigns_anything(stmt: Optional[ast.Stmt]) -> bool:
+    return any(isinstance(s, ast.Assign) for s in ast.statements(stmt))
 
 
-def _stmt_children(stmt) -> List:
-    if isinstance(stmt, ast.Block):
-        return list(stmt.stmts)
-    if isinstance(stmt, ast.If):
-        return [stmt.then_stmt, stmt.else_stmt]
-    if isinstance(stmt, ast.Case):
-        return [item.body for item in stmt.items]
-    if isinstance(stmt, (ast.For, ast.While, ast.Repeat, ast.Forever)):
-        extra = []
-        if isinstance(stmt, ast.For):
-            extra = [stmt.init, stmt.step]
-        return [stmt.body] + extra
-    if isinstance(stmt, (ast.Delay, ast.EventControl, ast.Wait)):
-        return [stmt.stmt]
-    return []
-
-
-def _has_incomplete_case(stmt) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, ast.Case):
-        has_default = any(not item.exprs for item in stmt.items)
-        if not has_default:
-            return True
-    return any(_has_incomplete_case(c) for c in _stmt_children(stmt))
-
-
-def _has_if_without_else(stmt) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, ast.If) and stmt.else_stmt is None:
-        # else-if chains count via recursion; a bare if is the risk.
-        if _assigns_anything(stmt.then_stmt):
-            return True
-    return any(_has_if_without_else(c) for c in _stmt_children(stmt))
-
-
-def _assigns_anything(stmt) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, ast.Assign):
-        return True
-    return any(_assigns_anything(c) for c in _stmt_children(stmt))
-
-
-def _sensitivity_incomplete(item: ast.Always) -> bool:
+def _sensitivity_incomplete(sens: ast.SensitivityList,
+                            values: List[Optional[ast.Expr]]) -> bool:
     """Are signals read in the body missing from the sensitivity list?"""
-    listed: Set[str] = set()
-    for entry in item.sensitivity.items:
-        if isinstance(entry.expr, ast.Identifier):
-            listed.add(entry.expr.name)
-    read: Set[str] = set()
-
-    def visit(expr: Optional[ast.Expr]) -> None:
-        if expr is None:
-            return
-        if isinstance(expr, ast.Identifier):
-            read.add(expr.name)
-        for child in _expr_children(expr):
-            visit(child)
-
-    _visit_stmt_exprs(item.body, visit)
-    return bool(read - listed)
+    listed = {entry.expr.name for entry in sens.items
+              if isinstance(entry.expr, ast.Identifier)}
+    return any(isinstance(expr, ast.Identifier) and expr.name not in listed
+               for expr in _expr_nodes(values))
 
 
-def _has_delay(stmt) -> bool:
-    if stmt is None:
-        return False
-    if isinstance(stmt, ast.Delay):
-        return True
-    return any(_has_delay(c) for c in _stmt_children(stmt))
-
-
-def _statement_depth(stmt, depth: int = 0) -> int:
+def _statement_depth(stmt: Optional[ast.Stmt], depth: int = 0) -> int:
     if stmt is None:
         return depth
-    best = depth
-    for child in _stmt_children(stmt):
-        best = max(best, _statement_depth(child, depth + 1))
-    return best
+    return max((_statement_depth(child, depth + 1)
+                for child in ast.sub_statements(stmt)), default=depth)
 
 
-def _longest_if_chain(stmt) -> int:
-    if stmt is None:
-        return 0
-    if isinstance(stmt, ast.If):
-        length = 1
-        node = stmt.else_stmt
-        while isinstance(node, ast.If):
-            length += 1
-            node = node.else_stmt
-        inner = max(
-            (_longest_if_chain(c) for c in _stmt_children(stmt)), default=0
-        )
-        return max(length, inner)
-    return max(
-        (_longest_if_chain(c) for c in _stmt_children(stmt)), default=0
-    )
+def _if_chain_length(stmt: ast.If) -> int:
+    length = 1
+    node = stmt.else_stmt
+    while isinstance(node, ast.If):
+        length += 1
+        node = node.else_stmt
+    return length
 
 
 def lint(source: str) -> StyleReport:

@@ -282,77 +282,25 @@ class _ModuleChecker:
             self._check_items(item.else_items)
             return
 
-    # -- statements ------------------------------------------------------------
+    # -- statements and expressions --------------------------------------------
 
-    def _check_stmt(self, stmt: Optional[ast.Stmt]) -> None:
+    def _check_stmt(self, stmt) -> None:
+        """Check a statement or any other non-expression slot of one (a
+        case arm, an event list or its entries, None)."""
         if stmt is None:
             return
-        if isinstance(stmt, ast.Block):
-            names = {d.name for d in stmt.decls}
-            self._push(names)
-            for inner in stmt.stmts:
-                self._check_stmt(inner)
+        block = isinstance(stmt, ast.Block)
+        if block:
+            self._push({d.name for d in stmt.decls})
+        elif isinstance(stmt, ast.TaskCall) and not self._declared(stmt.name):
+            self._report_unknown(stmt.name, stmt.line)
+        for child in ast.children(stmt):
+            if isinstance(child, ast.Expr):
+                self._check_expr(child)
+            else:
+                self._check_stmt(child)
+        if block:
             self._pop()
-            return
-        if isinstance(stmt, ast.Assign):
-            self._check_expr(stmt.target)
-            self._check_expr(stmt.value)
-            if stmt.delay is not None:
-                self._check_expr(stmt.delay)
-            return
-        if isinstance(stmt, ast.If):
-            self._check_expr(stmt.cond)
-            self._check_stmt(stmt.then_stmt)
-            self._check_stmt(stmt.else_stmt)
-            return
-        if isinstance(stmt, ast.Case):
-            self._check_expr(stmt.subject)
-            for case_item in stmt.items:
-                for expr in case_item.exprs:
-                    self._check_expr(expr)
-                self._check_stmt(case_item.body)
-            return
-        if isinstance(stmt, ast.For):
-            self._check_stmt(stmt.init)
-            self._check_expr(stmt.cond)
-            self._check_stmt(stmt.step)
-            self._check_stmt(stmt.body)
-            return
-        if isinstance(stmt, (ast.While, ast.Repeat)):
-            self._check_expr(
-                stmt.cond if isinstance(stmt, ast.While) else stmt.count
-            )
-            self._check_stmt(stmt.body)
-            return
-        if isinstance(stmt, ast.Forever):
-            self._check_stmt(stmt.body)
-            return
-        if isinstance(stmt, ast.Delay):
-            self._check_expr(stmt.amount)
-            self._check_stmt(stmt.stmt)
-            return
-        if isinstance(stmt, ast.EventControl):
-            if not stmt.sensitivity.star:
-                for entry in stmt.sensitivity.items:
-                    self._check_expr(entry.expr)
-            self._check_stmt(stmt.stmt)
-            return
-        if isinstance(stmt, ast.Wait):
-            self._check_expr(stmt.cond)
-            self._check_stmt(stmt.stmt)
-            return
-        if isinstance(stmt, ast.SystemTaskCall):
-            for arg in stmt.args:
-                self._check_expr(arg)
-            return
-        if isinstance(stmt, ast.TaskCall):
-            if not self._declared(stmt.name):
-                self._report_unknown(stmt.name, stmt.line)
-            for arg in stmt.args:
-                self._check_expr(arg)
-            return
-
-    # -- expressions -----------------------------------------------------------
 
     def _check_expr(
         self, expr: Optional[ast.Expr], allow_implicit_net: bool = False
@@ -367,38 +315,10 @@ class _ModuleChecker:
             if not self._declared(expr.parts[0]):
                 self._report_unknown(".".join(expr.parts), expr.line)
             return
-        if isinstance(expr, ast.Select):
-            self._check_expr(expr.base, allow_implicit_net)
-            self._check_expr(expr.left)
-            self._check_expr(expr.right)
-            return
-        if isinstance(expr, ast.Concat):
-            for part in expr.parts:
-                self._check_expr(part, allow_implicit_net)
-            return
-        if isinstance(expr, ast.Replicate):
-            self._check_expr(expr.count)
-            self._check_expr(expr.value)
-            return
-        if isinstance(expr, ast.Unary):
-            self._check_expr(expr.operand)
-            return
-        if isinstance(expr, ast.Binary):
-            self._check_expr(expr.left)
-            self._check_expr(expr.right)
-            return
-        if isinstance(expr, ast.Ternary):
-            self._check_expr(expr.cond)
-            self._check_expr(expr.if_true)
-            self._check_expr(expr.if_false)
-            return
         if isinstance(expr, ast.FunctionCall):
             if not self._declared(expr.name):
                 self._report_unknown(expr.name, expr.line)
-            for arg in expr.args:
-                self._check_expr(arg)
-            return
-        if isinstance(expr, ast.SystemCall):
+        elif isinstance(expr, ast.SystemCall):
             if expr.name not in _BUILTIN_SYSTEM_FUNCS:
                 self._diags.append(
                     Diagnostic(
@@ -406,9 +326,12 @@ class _ModuleChecker:
                         f"unknown system function {expr.name!r}", expr.line,
                     )
                 )
-            for arg in expr.args:
-                self._check_expr(arg)
-            return
+        for index, child in enumerate(ast.children(expr)):
+            # An implicit net may be a select's base or a part of a
+            # concatenation, never an index.
+            self._check_expr(child, allow_implicit_net and (
+                isinstance(expr, ast.Concat)
+                or (index == 0 and isinstance(expr, ast.Select))))
 
 
 def check(

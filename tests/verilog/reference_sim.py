@@ -51,12 +51,11 @@ from repro.verilog.sim.design import (
 from repro.verilog.sim.elaborate import elaborate
 from repro.verilog.sim.eval import EvalError
 from repro.verilog.sim.interp import (SimulationError, StepBudget,
-                                     StopSimulation)
+                                     StopSimulation, _suspends)
 from repro.verilog.sim.runtime import Simulator, build_library
 from repro.verilog.sim.scheduler import (
     MAX_ACTIVATIONS_PER_SLOT,
     MAX_SIM_TIME,
-    _body_has_timing,
     _format_verilog,
     _is_negedge,
     _is_posedge,
@@ -1453,8 +1452,7 @@ class Kernel:
         except StopIteration:
             if thread.restart_body:
                 proc = self.design.processes[thread.proc_index]
-                has_timing = _body_has_timing(proc.body)
-                if not has_timing:
+                if not _suspends(proc.body, proc.scope):
                     raise SimulationError(
                         "always block without sensitivity or timing "
                         f"controls (line {proc.line})"
