@@ -1,7 +1,7 @@
 """PyraNet dataset: records, curation pipeline, labels, and layering."""
 
 from .records import Complexity, CompileStatus, DatasetEntry, PyraNetDataset
-from .filters import FunnelStats, run_filter_funnel
+from .filters import FunnelStats
 from .dedup import (
     DedupReport,
     deduplicate,
@@ -35,7 +35,7 @@ from .io import load_jsonl, save_jsonl
 
 __all__ = [
     "Complexity", "CompileStatus", "DatasetEntry", "PyraNetDataset",
-    "FunnelStats", "run_filter_funnel",
+    "FunnelStats",
     "DedupReport", "deduplicate", "jaccard", "tokenize_for_dedup",
     "RankingResult", "rank_code", "score_code",
     "classify_code", "classify_metrics", "complexity_score",

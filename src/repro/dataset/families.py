@@ -22,13 +22,12 @@ them (see :mod:`.streaming`).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Sequence, Tuple)
 
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 from .dedup import (
     BANDS,
     N_PERM,
@@ -70,21 +69,12 @@ def _stem(name: str) -> str:
 
 
 @dataclass
-class Evidence:
+class Evidence(Reportable):
     """Why a variant was linked to its canonical."""
 
     kind: str
     confidence: float
     detail: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "confidence": self.confidence,
-                "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Evidence":
-        return cls(kind=data["kind"], confidence=data["confidence"],
-                   detail=data.get("detail", ""))
 
 
 def name_pattern_evidence(
@@ -190,7 +180,7 @@ def collision_forest(
 
 
 @dataclass
-class FamilyVariant:
+class FamilyVariant(Reportable):
     """One near-duplicate member of a family (a dedup-dropped file)."""
 
     index: int
@@ -201,33 +191,9 @@ class FamilyVariant:
     entry_id: str = ""
     evidence: List[Evidence] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "similarity": self.similarity,
-            "path": self.path,
-            "origin": self.origin,
-            "modules": list(self.modules),
-            "entry_id": self.entry_id,
-            "evidence": [item.to_dict() for item in self.evidence],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FamilyVariant":
-        return cls(
-            index=data["index"],
-            similarity=data["similarity"],
-            path=data.get("path", ""),
-            origin=data.get("origin", ""),
-            modules=list(data.get("modules", [])),
-            entry_id=data.get("entry_id", ""),
-            evidence=[Evidence.from_dict(item)
-                      for item in data.get("evidence", [])],
-        )
-
 
 @dataclass
-class Family:
+class Family(Reportable):
     """A canonical member plus its dedup-linked variants."""
 
     family_id: str
@@ -257,33 +223,9 @@ class Family:
         return max(0, self.component_size - self.size)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "family_id": self.family_id,
-            "canonical_index": self.canonical_index,
-            "canonical_path": self.canonical_path,
-            "canonical_origin": self.canonical_origin,
-            "canonical_modules": list(self.canonical_modules),
-            "canonical_entry_id": self.canonical_entry_id,
-            "component_size": self.component_size,
-            "n_lsh_neighbours": self.n_lsh_neighbours,
-            "descriptions": dict(self.descriptions),
-            "variants": [variant.to_dict() for variant in self.variants],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Family":
-        return cls(
-            family_id=data["family_id"],
-            canonical_index=data["canonical_index"],
-            canonical_path=data.get("canonical_path", ""),
-            canonical_origin=data.get("canonical_origin", ""),
-            canonical_modules=list(data.get("canonical_modules", [])),
-            canonical_entry_id=data.get("canonical_entry_id", ""),
-            component_size=data.get("component_size", 0),
-            descriptions=dict(data.get("descriptions", {})),
-            variants=[FamilyVariant.from_dict(item)
-                      for item in data.get("variants", [])],
-        )
+        data = super().to_dict()
+        data["n_lsh_neighbours"] = self.n_lsh_neighbours
+        return data
 
 
 def family_id_for(seed: int, canonical_index: int) -> str:
@@ -430,11 +372,10 @@ class FamilyIndex:
 
 
 @dataclass
-class FamilyReport:
+class FamilyReport(Reportable):
     """The versioned design-family document of one curation run."""
 
-    schema = "pyranet/family-report/v1"
-
+    schema: str = field(default="pyranet/family-report/v1", init=False)
     seed: int = 0
     threshold: float = 0.8
     families: List[Family] = field(default_factory=list)
@@ -455,32 +396,10 @@ class FamilyReport:
         return {str(size): histogram[size] for size in sorted(histogram)}
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "n_families": self.n_families,
-            "n_variants": self.n_variants,
-            "size_histogram": self.size_histogram(),
-            "families": [family.to_dict() for family in self.families],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FamilyReport":
-        data = strip_schema(data)
-        return cls(
-            seed=data.get("seed", 0),
-            threshold=data.get("threshold", 0.8),
-            families=[Family.from_dict(item)
-                      for item in data.get("families", [])],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FamilyReport":
-        return cls.from_dict(json.loads(text))
+        data = super().to_dict()
+        data.update(n_families=self.n_families, n_variants=self.n_variants,
+                    size_histogram=self.size_histogram())
+        return data
 
 
 def build_family_artifacts(

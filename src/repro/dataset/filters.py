@@ -8,16 +8,17 @@ The paper applies, in order of increasing cost:
 4. **syntax check** — the expensive compile check, run last on the
    reduced set, classifying survivors as clean or dependency-only.
 
-:func:`run_filter_funnel` chains the stages and reports per-stage
-counts — the funnel that turns ~2.4 M raw files into the usable set.
+Curation (:mod:`.streaming`) runs the stages and counts each one's
+survivors in :class:`FunnelStats` — the funnel that turns ~2.4 M raw
+files into the usable set.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Tuple
 
+from ..obs.reportable import Reportable
 from ..verilog import check, has_module_declaration
 from ..verilog.syntax_checker import CheckResult
 
@@ -75,7 +76,7 @@ def syntax_filter(content: str) -> Tuple[FilterDecision, CheckResult]:
 
 
 @dataclass
-class FunnelStats:
+class FunnelStats(Reportable):
     """Per-stage counts of the filter funnel."""
 
     collected: int = 0
@@ -89,80 +90,3 @@ class FunnelStats:
 
     def record_removal(self, stage: str) -> None:
         self.removed[stage] = self.removed.get(stage, 0) + 1
-
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["removed"] = dict(self.removed)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunnelStats":
-        return cls(**data)
-
-
-@dataclass
-class FilteredFile:
-    """A survivor of the funnel, with its compile classification."""
-
-    index: int
-    content: str
-    check_result: CheckResult
-
-
-def run_filter_funnel(
-    contents: Sequence[str],
-    dedup: Optional[Callable[[Sequence[str]], List[int]]] = None,
-) -> Tuple[List[FilteredFile], FunnelStats]:
-    """Run the four-stage funnel over ``contents``.
-
-    Args:
-        contents: raw file texts, index-aligned with the caller's
-            bookkeeping.
-        dedup: callable returning the indices (into its argument) of
-            files to *keep*; defaults to no deduplication.
-
-    Returns:
-        (survivors, stats); each survivor keeps its original index.
-    """
-    stats = FunnelStats(collected=len(contents))
-
-    stage1: List[Tuple[int, str]] = []
-    for index, content in enumerate(contents):
-        decision = is_readable(content)
-        if decision.kept:
-            stage1.append((index, content))
-        else:
-            stats.record_removal("empty_broken")
-    stats.after_empty_broken = len(stage1)
-
-    stage2: List[Tuple[int, str]] = []
-    for index, content in stage1:
-        decision = has_module(content)
-        if decision.kept:
-            stage2.append((index, content))
-        else:
-            stats.record_removal("module_decl")
-    stats.after_module_decl = len(stage2)
-
-    if dedup is not None and stage2:
-        keep_positions = set(dedup([content for _, content in stage2]))
-        stage3 = [pair for position, pair in enumerate(stage2)
-                  if position in keep_positions]
-        stats.removed["dedup"] = len(stage2) - len(stage3)
-    else:
-        stage3 = stage2
-    stats.after_dedup = len(stage3)
-
-    survivors: List[FilteredFile] = []
-    for index, content in stage3:
-        decision, result = syntax_filter(content)
-        if not decision.kept:
-            stats.record_removal("syntax_check")
-            continue
-        survivors.append(FilteredFile(index, content, result))
-        if result.status == "clean":
-            stats.clean += 1
-        else:
-            stats.dependency_only += 1
-    stats.after_syntax = len(survivors)
-    return survivors, stats

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.reportable import Reportable
 from .records import CompileStatus, Complexity, DatasetEntry
 
 #: (layer number, inclusive ranking range) for clean entries.
@@ -42,7 +43,7 @@ def layer_for(entry: DatasetEntry) -> int:
 
 
 @dataclass
-class LayerReport:
+class LayerReport(Reportable):
     """Layer population summary (the Fig. 1-a pyramid)."""
 
     sizes: Dict[int, int] = field(default_factory=dict)
@@ -56,35 +57,6 @@ class LayerReport:
     def pyramid_rows(self) -> List[Tuple[int, int]]:
         """(layer, size) rows, best layer first."""
         return [(n, self.sizes.get(n, 0)) for n in range(1, 7)]
-
-    def to_dict(self) -> Dict:
-        return {
-            "sizes": {str(k): v for k, v in self.sizes.items()},
-            "n_verified": self.n_verified,
-            "complexity_coverage": {
-                str(k): dict(v)
-                for k, v in self.complexity_coverage.items()
-            },
-            "missing_complexities": {
-                str(k): list(v)
-                for k, v in self.missing_complexities.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "LayerReport":
-        return cls(
-            n_verified=data.get("n_verified", 0),
-            sizes={int(k): v for k, v in data.get("sizes", {}).items()},
-            complexity_coverage={
-                int(k): dict(v)
-                for k, v in data.get("complexity_coverage", {}).items()
-            },
-            missing_complexities={
-                int(k): list(v)
-                for k, v in data.get("missing_complexities", {}).items()
-            },
-        )
 
 
 def assign_layers(entries: List[DatasetEntry],

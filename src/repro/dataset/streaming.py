@@ -70,7 +70,6 @@ and ``curation.syntax_check`` under ``pipeline.curation``.
 from __future__ import annotations
 
 import heapq
-import json
 import pickle
 import time
 import zlib
@@ -85,7 +84,7 @@ from typing import (Any, Collection, Dict, Iterable, Iterator, List,
 from ..corpus.github_sim import RawFile
 from ..corpus.llm_sim import GeneratedSample, strip_markdown_fences
 from ..obs import Observability, resolve
-from ..obs.reportable import strip_schema
+from ..obs.reportable import Reportable
 from ..pipeline import (ParallelExecutor, PipelineTrace, ResultCache,
                         StageMetrics, content_key)
 from ..pipeline.executor import attach_run
@@ -147,7 +146,7 @@ _MISS = object()
 
 
 @dataclass
-class PipelineReport:
+class PipelineReport(Reportable):
     """Everything the pipeline measured while curating."""
 
     schema = "pyranet/curation-report/v1"
@@ -180,43 +179,14 @@ class PipelineReport:
             lines.append(f"layer {number}: {size}")
         return lines
 
-    def to_dict(self) -> Dict:
-        return {
-            "funnel": self.funnel.to_dict(),
-            "layers": self.layers.to_dict(),
-            "n_collected_github": self.n_collected_github,
-            "n_generated_llm": self.n_generated_llm,
-            "trace": self.trace.to_dict() if self.trace else None,
-            "families": (self.families.to_dict()
-                         if self.families is not None else None),
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PipelineReport":
-        data = strip_schema(data)
-        trace = data.get("trace")
-        families = data.get("families")
-        return cls(
-            funnel=FunnelStats.from_dict(data["funnel"]),
-            layers=LayerReport.from_dict(data["layers"]),
-            n_collected_github=data["n_collected_github"],
-            n_generated_llm=data["n_generated_llm"],
-            trace=PipelineTrace.from_dict(trace) if trace else None,
-            families=(FamilyReport.from_dict(families)
-                      if families else None),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PipelineReport":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
-class CurationResult:
-    """A curated dataset plus its pipeline report."""
+class CurationResult(Reportable):
+    """A curated dataset plus its pipeline report.
+
+    Serialised by hand: the JSON names the dataset's rows ``entries``,
+    not ``dataset``.
+    """
 
     schema = "pyranet/curation-result/v1"
 
@@ -230,12 +200,8 @@ class CurationResult:
             "report": self.report.to_dict(),
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Dict) -> "CurationResult":
-        data = strip_schema(data)
         dataset = PyraNetDataset()
         for item in data.get("entries", []):
             dataset.add(DatasetEntry.from_dict(item))
@@ -243,10 +209,6 @@ class CurationResult:
             dataset=dataset,
             report=PipelineReport.from_dict(data["report"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CurationResult":
-        return cls.from_dict(json.loads(text))
 
 
 # -- source adapters ----------------------------------------------------

@@ -17,18 +17,17 @@ single-shot protocol byte-identically.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 
 #: pass@k columns reports default to (VerilogEval's protocol).
 DEFAULT_KS: Tuple[int, ...] = (1, 5, 10)
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(Reportable):
     """Declarative evaluation parameters (:class:`~repro.obs.Reportable`).
 
     Attributes:
@@ -67,31 +66,3 @@ class EvalConfig:
     def with_overrides(self, **changes: Any) -> "EvalConfig":
         """A copy with ``changes`` applied (frozen-safe)."""
         return replace(self, **changes)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_samples": self.n_samples,
-            "temperature": self.temperature,
-            "seed": self.seed,
-            "n_test_vectors": self.n_test_vectors,
-            "ks": list(self.ks),
-            "repair_budget": self.repair_budget,
-            "model_name": self.model_name,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EvalConfig":
-        data = strip_schema(data)
-        known = {
-            "n_samples", "temperature", "seed", "n_test_vectors",
-            "ks", "repair_budget", "model_name",
-        }
-        return cls(**{key: value for key, value in data.items()
-                      if key in known})
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalConfig":
-        return cls.from_dict(json.loads(text))

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..corpus.spec import DesignSpec, PortDef
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 from ..verilog import (
     ElaborationError,
     ParseError,
@@ -43,7 +43,7 @@ from ..verilog.sim.values import Vec4
 
 
 @dataclass
-class Mismatch:
+class Mismatch(Reportable):
     """One observed output disagreement."""
 
     vector_index: int
@@ -52,28 +52,9 @@ class Mismatch:
     actual: str
     inputs: Dict[str, int] = field(default_factory=dict)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "vector_index": self.vector_index,
-            "output": self.output,
-            "expected": self.expected,
-            "actual": self.actual,
-            "inputs": dict(self.inputs),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Mismatch":
-        return cls(
-            vector_index=data["vector_index"],
-            output=data["output"],
-            expected=data["expected"],
-            actual=data["actual"],
-            inputs=dict(data.get("inputs", {})),
-        )
-
 
 @dataclass
-class TestOutcome:
+class TestOutcome(Reportable):
     """Result of one functional test run (:class:`~repro.obs.Reportable`)."""
 
     schema = "pyranet/test-outcome/v1"
@@ -86,30 +67,6 @@ class TestOutcome:
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.passed
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "failure_kind": self.failure_kind,
-            "detail": self.detail,
-            "vectors_run": self.vectors_run,
-            "mismatches": [m.to_dict() for m in self.mismatches],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TestOutcome":
-        data = strip_schema(data)
-        return cls(
-            passed=data["passed"],
-            failure_kind=data.get("failure_kind"),
-            detail=data.get("detail", ""),
-            vectors_run=data.get("vectors_run", 0),
-            mismatches=[Mismatch.from_dict(item)
-                        for item in data.get("mismatches", [])],
-        )
 
 
 def _find_candidate_module(source: str, spec: DesignSpec) -> Optional[str]:

@@ -21,7 +21,6 @@ or across models evaluated against the same suite — simulate once.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
 from ..corpus.spec import DesignSpec
 from ..model.interfaces import FineTunable
 from ..obs import Observability, resolve
-from ..obs.reportable import strip_schema
+from ..obs.reportable import Reportable
 from ..pipeline import (
     ParallelExecutor,
     PipelineTrace,
@@ -60,7 +59,7 @@ class EvalProblem:
 
 
 @dataclass
-class ProblemResult:
+class ProblemResult(Reportable):
     """Per-problem sampling outcome."""
 
     problem_id: str
@@ -73,26 +72,9 @@ class ProblemResult:
         return pass_at_k(self.n_samples, self.n_passed,
                          min(k, self.n_samples))
 
-    def to_dict(self) -> Dict:
-        return {
-            "problem_id": self.problem_id,
-            "n_samples": self.n_samples,
-            "n_passed": self.n_passed,
-            "failure_kinds": dict(self.failure_kinds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ProblemResult":
-        return cls(
-            problem_id=data["problem_id"],
-            n_samples=data["n_samples"],
-            n_passed=data["n_passed"],
-            failure_kinds=dict(data.get("failure_kinds", {})),
-        )
-
 
 @dataclass
-class EvalReport:
+class EvalReport(Reportable):
     """Suite-level results."""
 
     schema = "pyranet/eval-report/v1"
@@ -123,33 +105,6 @@ class EvalReport:
             for kind, count in result.failure_kinds.items():
                 histogram[kind] = histogram.get(kind, 0) + count
         return histogram
-
-    def to_dict(self) -> Dict:
-        return {
-            "suite": self.suite,
-            "model_name": self.model_name,
-            "results": [result.to_dict() for result in self.results],
-            "trace": self.trace.to_dict() if self.trace else None,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "EvalReport":
-        data = strip_schema(data)
-        trace = data.get("trace")
-        return cls(
-            suite=data["suite"],
-            model_name=data["model_name"],
-            results=[ProblemResult.from_dict(item)
-                     for item in data.get("results", [])],
-            trace=PipelineTrace.from_dict(trace) if trace else None,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls.from_dict(json.loads(text))
 
 
 def sample_seed(seed: int, problem_index: int, sample_index: int) -> int:

@@ -17,13 +17,12 @@ construction, and the ``r=0`` column is byte-identical to
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..model.interfaces import FineTunable
 from ..obs import Observability, resolve
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 from ..pipeline import ParallelExecutor, PipelineTrace, ResultCache
 from ..repairloop import ModelRepairer, Repairer, RepairLoop
 from ..resilience.runtime import Resilience
@@ -40,7 +39,7 @@ from .passk import pass_at_k
 
 
 @dataclass
-class RepairProblemResult:
+class RepairProblemResult(Reportable):
     """Per-problem outcome with its repair curve.
 
     ``passed_at`` holds the cumulative pass count after 0..budget
@@ -83,26 +82,9 @@ class RepairProblemResult:
         return pass_at_k(self.n_samples, self.passed_at[index],
                          min(k, self.n_samples))
 
-    def to_dict(self) -> Dict:
-        return {
-            "problem_id": self.problem_id,
-            "n_samples": self.n_samples,
-            "passed_at": list(self.passed_at),
-            "failure_kinds": dict(self.failure_kinds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RepairProblemResult":
-        return cls(
-            problem_id=data["problem_id"],
-            n_samples=data["n_samples"],
-            passed_at=list(data.get("passed_at", [])),
-            failure_kinds=dict(data.get("failure_kinds", {})),
-        )
-
 
 @dataclass
-class RepairEvalReport:
+class RepairEvalReport(Reportable):
     """Suite-level repair-budget results
     (:class:`~repro.obs.Reportable`)."""
 
@@ -110,7 +92,7 @@ class RepairEvalReport:
 
     suite: str
     model_name: str
-    repair_budget: int
+    repair_budget: int = 0
     config: Dict = field(default_factory=dict)
     results: List[RepairProblemResult] = field(default_factory=list)
     trace: Optional[PipelineTrace] = None
@@ -147,37 +129,6 @@ class RepairEvalReport:
     def base_results(self) -> List[ProblemResult]:
         """The classic single-shot results (the ``r=0`` column)."""
         return [result.base_result() for result in self.results]
-
-    def to_dict(self) -> Dict:
-        return {
-            "suite": self.suite,
-            "model_name": self.model_name,
-            "repair_budget": self.repair_budget,
-            "config": dict(self.config),
-            "results": [result.to_dict() for result in self.results],
-            "trace": self.trace.to_dict() if self.trace else None,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RepairEvalReport":
-        data = strip_schema(data)
-        trace = data.get("trace")
-        return cls(
-            suite=data["suite"],
-            model_name=data["model_name"],
-            repair_budget=data.get("repair_budget", 0),
-            config=dict(data.get("config", {})),
-            results=[RepairProblemResult.from_dict(item)
-                     for item in data.get("results", [])],
-            trace=PipelineTrace.from_dict(trace) if trace else None,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RepairEvalReport":
-        return cls.from_dict(json.loads(text))
 
 
 def evaluate_with_repair(

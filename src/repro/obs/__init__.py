@@ -13,8 +13,8 @@ The telemetry layer the rest of the system records into:
 * :class:`Observability` — the registry+tracer handle every subsystem
   accepts as an optional ``obs`` argument; :func:`resolve` maps None to
   a shared no-op instance so instrumentation has one code path;
-* :class:`Reportable` — the shared ``to_dict``/``to_json``/
-  ``from_dict``+``schema`` contract all report classes follow.
+* :class:`Reportable` — the base class whose one rule serialises every
+  report dataclass: its JSON is its fields.
 """
 
 from .context import NOOP, Observability, resolve
@@ -27,11 +27,7 @@ from .registry import (
     NullRegistry,
 )
 from .report import RUN_REPORT_SCHEMA, RunReport
-from .reportable import (
-    Reportable,
-    report_json,
-    strip_schema,
-)
+from .reportable import Reportable, report_json
 from .tracing import NullTracer, Span, SpanContext, Tracer, worker_tracer
 
 __all__ = [
@@ -52,6 +48,5 @@ __all__ = [
     "report_json",
     "resolve",
     "rss_peak_bytes",
-    "strip_schema",
     "worker_tracer",
 ]

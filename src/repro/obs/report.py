@@ -19,22 +19,20 @@ joins.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from .reportable import report_json, strip_schema
+from .reportable import Reportable
 
 #: Bumped when the document shape changes incompatibly.
 RUN_REPORT_SCHEMA = "pyranet/run-report/v1"
 
 
 @dataclass
-class RunReport:
+class RunReport(Reportable):
     """Spans + metrics + context for one run, under one schema."""
 
-    schema = RUN_REPORT_SCHEMA
-
+    schema: str = field(default=RUN_REPORT_SCHEMA, init=False)
     run_id: str = ""
     meta: Dict[str, Any] = field(default_factory=dict)
     spans: List[Dict[str, Any]] = field(default_factory=list)
@@ -113,31 +111,3 @@ class RunReport:
             if parent is not None and parent not in known:
                 lines.append(f"  (orphan) {span['name']}")
         return lines
-
-    # -- serialisation -------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "run_id": self.run_id,
-            "meta": dict(self.meta),
-            "spans": [dict(span) for span in self.spans],
-            "metrics": dict(self.metrics),
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunReport":
-        data = strip_schema(data)
-        return cls(
-            run_id=data.get("run_id", ""),
-            meta=dict(data.get("meta", {})),
-            spans=[dict(span) for span in data.get("spans", [])],
-            metrics=dict(data.get("metrics", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunReport":
-        return cls.from_dict(json.loads(text))

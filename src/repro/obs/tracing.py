@@ -32,21 +32,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
+from .reportable import Reportable
+
 
 @dataclass(frozen=True)
-class SpanContext:
+class SpanContext(Reportable):
     """The serialisable identity of a span: enough to parent under it
     from another thread or process."""
 
     trace_id: str
     span_id: str
-
-    def to_dict(self) -> Dict[str, str]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, str]) -> "SpanContext":
-        return cls(trace_id=data["trace_id"], span_id=data["span_id"])
 
 
 class Span:

@@ -10,23 +10,22 @@ The registry is the source of record: every run folds its finished
 trace into it (:meth:`repro.obs.Observability.publish_trace`), and
 :meth:`PipelineTrace.from_registry` reconstructs the legacy document —
 byte-for-byte, golden-tested — from registry gauges and annotations
-alone.  The classes below follow the shared
-:class:`~repro.obs.Reportable` contract; ``schema`` identifies the
-shape on the class without perturbing the committed JSON layout.
+alone.  The classes below serialise by the one
+:class:`~repro.obs.Reportable` rule; ``schema`` identifies the shape
+on the class without perturbing the committed JSON layout.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..obs.registry import MetricRegistry
-from ..obs.reportable import strip_schema
+from ..obs.reportable import Reportable
 
 
 @dataclass
-class StageMetrics:
+class StageMetrics(Reportable):
     """What one stage did to the record stream."""
 
     schema = "pyranet/stage-metrics/v1"
@@ -52,19 +51,9 @@ class StageMetrics:
     def record_drop(self, reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "StageMetrics":
-        return cls(**strip_schema(data))
-
 
 @dataclass
-class PipelineTrace:
+class PipelineTrace(Reportable):
     """The run report: stages in execution order plus run-level facts."""
 
     schema = "pyranet/pipeline-trace/v1"
@@ -104,31 +93,6 @@ class PipelineTrace:
                 f"{cache})"
             )
         return lines
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "pipeline": self.pipeline,
-            "wall_time_s": self.wall_time_s,
-            "meta": dict(self.meta),
-            "stages": [metrics.to_dict() for metrics in self.stages],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "PipelineTrace":
-        return cls(
-            pipeline=data.get("pipeline", ""),
-            wall_time_s=data.get("wall_time_s", 0.0),
-            meta=dict(data.get("meta", {})),
-            stages=[StageMetrics.from_dict(item)
-                    for item in data.get("stages", [])],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PipelineTrace":
-        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_registry(cls, registry: MetricRegistry,

@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 
 
 @dataclass
-class RepairFeedback:
+class RepairFeedback(Reportable):
     """One iteration's structured diagnosis
     (:class:`~repro.obs.Reportable`).
 
@@ -76,24 +76,3 @@ class RepairFeedback:
                     f"{mismatch.get('actual')} with inputs "
                     f"{mismatch.get('inputs')}")
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "diagnostics": [dict(diag) for diag in self.diagnostics],
-            "outcome": dict(self.outcome) if self.outcome else None,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RepairFeedback":
-        data = strip_schema(data)
-        outcome = data.get("outcome")
-        return cls(
-            kind=data["kind"],
-            diagnostics=[dict(diag)
-                         for diag in data.get("diagnostics", [])],
-            outcome=dict(outcome) if outcome else None,
-        )

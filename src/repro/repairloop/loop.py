@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Any, List, Optional, Protocol, Tuple, runtime_checkable
 
 from ..model.repair import self_reflect_once
 from ..obs import Observability, resolve
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 from ..resilience.checkpoint import run_signature
 from ..resilience.runtime import Resilience
 from ..resilience.runtime import resolve as resolve_resilience
@@ -131,41 +131,20 @@ class ModelRepairer:
 
 
 @dataclass
-class RepairIteration:
+class RepairIteration(Reportable):
     """One committed loop iteration: the action taken, the feedback
     that drove it, and the candidate it produced."""
 
     index: int
     action: str
-    repairer: str
-    feedback_kind: str
     status: str
     code: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "action": self.action,
-            "repairer": self.repairer,
-            "feedback_kind": self.feedback_kind,
-            "status": self.status,
-            "code": self.code,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RepairIteration":
-        return cls(
-            index=data["index"],
-            action=data["action"],
-            repairer=data.get("repairer", ""),
-            feedback_kind=data.get("feedback_kind", ""),
-            status=data["status"],
-            code=data["code"],
-        )
+    repairer: str = ""
+    feedback_kind: str = ""
 
 
 @dataclass
-class RepairTranscript:
+class RepairTranscript(Reportable):
     """The loop's full history for one candidate
     (:class:`~repro.obs.Reportable`)."""
 
@@ -187,46 +166,6 @@ class RepairTranscript:
 
     def actions(self) -> List[str]:
         return [iteration.action for iteration in self.iterations]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "candidate_id": self.candidate_id,
-            "seed": self.seed,
-            "budget": self.budget,
-            "original": self.original,
-            "initial_status": self.initial_status,
-            "iterations": [it.to_dict() for it in self.iterations],
-            "final_status": self.final_status,
-            "final_code": self.final_code,
-            "fixed": self.fixed,
-            "fixed_at": self.fixed_at,
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RepairTranscript":
-        data = strip_schema(data)
-        return cls(
-            candidate_id=data["candidate_id"],
-            seed=data["seed"],
-            budget=data["budget"],
-            original=data["original"],
-            initial_status=data["initial_status"],
-            iterations=[RepairIteration.from_dict(item)
-                        for item in data.get("iterations", [])],
-            final_status=data.get("final_status", "syntax"),
-            final_code=data.get("final_code", ""),
-            fixed=data.get("fixed", False),
-            fixed_at=data.get("fixed_at"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RepairTranscript":
-        import json
-
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass

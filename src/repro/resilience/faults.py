@@ -31,13 +31,14 @@ schedule can ride a CLI flag (``--fault-plan plan.json``), and
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+
+from ..obs.reportable import Reportable
 
 PathLike = Union[str, Path]
 
@@ -93,7 +94,7 @@ def register_fault_exception(
 
 
 @dataclass(frozen=True)
-class FaultRule:
+class FaultRule(Reportable):
     """One scheduled fault.
 
     Args:
@@ -127,29 +128,8 @@ class FaultRule:
     def matches(self, ordinal: int) -> bool:
         return ordinal in self.ordinals
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "site": self.site,
-            "kind": self.kind,
-            "ordinals": list(self.ordinals),
-            "exception": self.exception,
-            "message": self.message,
-            "delay_s": self.delay_s,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FaultRule":
-        return cls(
-            site=data["site"],
-            kind=data.get("kind", "raise"),
-            ordinals=tuple(data.get("ordinals", ())),
-            exception=data.get("exception", "TransientFault"),
-            message=data.get("message", "injected fault"),
-            delay_s=data.get("delay_s", 0.0),
-        )
-
-
-class FaultPlan:
+class FaultPlan(Reportable):
     """A deterministic schedule of faults over named call sites.
 
     Per-site call counting is thread-safe; under a process pool the
@@ -238,7 +218,7 @@ class FaultPlan:
             return {site: dict(kinds)
                     for site, kinds in sorted(self._injected.items())}
 
-    # -- serialisation --------------------------------------------------
+    # -- serialisation (by hand: a plan is not a dataclass) -------------
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -246,17 +226,10 @@ class FaultPlan:
             "rules": [rule.to_dict() for rule in self.rules],
         }
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         return cls([FaultRule.from_dict(item)
                     for item in data.get("rules", [])])
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
 
 
 class _FaultyCall:

@@ -26,7 +26,6 @@ the checkpoint journal behind.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from threading import Lock
@@ -34,7 +33,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import Observability
 from ..obs import resolve as resolve_obs
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 from .checkpoint import Checkpointer
 from .errors import CircuitOpenError
 from .faults import FaultPlan
@@ -53,7 +52,7 @@ def _value_digest(value: Any) -> str:
 
 
 @dataclass(frozen=True)
-class Quarantined:
+class Quarantined(Reportable):
     """A record whose work failed even after retries.
 
     Returned (never raised) by guarded stage functions, so it survives
@@ -69,16 +68,6 @@ class Quarantined:
     attempts: int
     value_repr: str = ""
     value_digest: str = ""
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "site": self.site,
-            "error_type": self.error_type,
-            "error": self.error,
-            "attempts": self.attempts,
-            "value_repr": self.value_repr,
-            "value_digest": self.value_digest,
-        }
 
 
 @dataclass(frozen=True)
@@ -192,11 +181,10 @@ class StageShield:
 
 
 @dataclass
-class DeadLetterReport:
+class DeadLetterReport(Reportable):
     """Records the run could not process: the quarantine ledger."""
 
-    schema = "pyranet/dead-letter/v1"
-
+    schema: str = field(default="pyranet/dead-letter/v1", init=False)
     entries: List[Dict[str, Any]] = field(default_factory=list)
 
     def add(self, quarantined: Quarantined) -> None:
@@ -212,30 +200,12 @@ class DeadLetterReport:
             histogram[site] = histogram.get(site, 0) + 1
         return histogram
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"schema": self.schema,
-                "entries": [dict(entry) for entry in self.entries]}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DeadLetterReport":
-        data = strip_schema(data)
-        return cls(entries=[dict(entry)
-                            for entry in data.get("entries", [])])
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeadLetterReport":
-        return cls.from_dict(json.loads(text))
-
 
 @dataclass
-class ResilienceReport:
+class ResilienceReport(Reportable):
     """What the resilience runtime did during a run."""
 
-    schema = "pyranet/resilience-report/v1"
-
+    schema: str = field(default="pyranet/resilience-report/v1", init=False)
     retries: Dict[str, int] = field(default_factory=dict)
     quarantines: Dict[str, int] = field(default_factory=dict)
     breakers: List[Dict[str, Any]] = field(default_factory=list)
@@ -251,41 +221,6 @@ class ResilienceReport:
     @property
     def total_quarantined(self) -> int:
         return sum(self.quarantines.values())
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "retries": dict(self.retries),
-            "quarantines": dict(self.quarantines),
-            "breakers": [dict(snapshot) for snapshot in self.breakers],
-            "resumed_stages": self.resumed_stages,
-            "resumed_batches": self.resumed_batches,
-            "faults_injected": {site: dict(kinds) for site, kinds
-                                in self.faults_injected.items()},
-            "dead_letter": self.dead_letter.to_dict(),
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ResilienceReport":
-        data = strip_schema(data)
-        return cls(
-            retries=dict(data.get("retries", {})),
-            quarantines=dict(data.get("quarantines", {})),
-            breakers=[dict(item) for item in data.get("breakers", [])],
-            resumed_stages=data.get("resumed_stages", 0),
-            resumed_batches=data.get("resumed_batches", 0),
-            faults_injected={site: dict(kinds) for site, kinds
-                             in data.get("faults_injected", {}).items()},
-            dead_letter=DeadLetterReport.from_dict(
-                data.get("dead_letter", {})),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResilienceReport":
-        return cls.from_dict(json.loads(text))
 
 
 class Resilience:

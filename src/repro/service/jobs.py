@@ -35,6 +35,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from ..obs.reportable import Reportable
+
 #: Lifecycle states a job moves through (terminal: ``done``/``failed``).
 JOB_STATUSES = ("queued", "running", "done", "failed")
 
@@ -58,7 +60,7 @@ def job_id_for(job_type: str, idempotency_key: str) -> str:
 
 
 @dataclass
-class Job:
+class Job(Reportable):
     """One queued unit of work.
 
     Attributes:
@@ -109,43 +111,6 @@ class Job:
             "recovered": self.recovered,
             "error": self.error,
         }
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "type": self.type,
-            "params": dict(self.params),
-            "idempotency_key": self.idempotency_key,
-            "seq": self.seq,
-            "status": self.status,
-            "attempts": self.attempts,
-            "worker": self.worker,
-            "error": self.error,
-            "quarantine": dict(self.quarantine),
-            "result": dict(self.result),
-            "report": dict(self.report),
-            "wall_s": self.wall_s,
-            "recovered": self.recovered,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Job":
-        return cls(
-            job_id=data["job_id"],
-            type=data["type"],
-            params=dict(data.get("params", {})),
-            idempotency_key=data.get("idempotency_key", ""),
-            seq=data.get("seq", 0),
-            status=data.get("status", "queued"),
-            attempts=data.get("attempts", 0),
-            worker=data.get("worker", ""),
-            error=data.get("error", ""),
-            quarantine=dict(data.get("quarantine", {})),
-            result=dict(data.get("result", {})),
-            report=dict(data.get("report", {})),
-            wall_s=data.get("wall_s", 0.0),
-            recovered=data.get("recovered", 0),
-        )
 
 
 def auto_key(seq: int, job_type: str, params: Dict[str, Any]) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..obs.reportable import strip_schema
+from ..obs.reportable import Reportable
 from .errors import ManifestError
 from .shard import ShardInfo
 
@@ -32,8 +32,13 @@ MANIFEST_NAME = "manifest.json"
 FORMAT_VERSION = 1
 
 @dataclass
-class StoreManifest:
-    """Index of a sharded store."""
+class StoreManifest(Reportable):
+    """Index of a sharded store.
+
+    Serialised by the :class:`~repro.obs.Reportable` rule; loading
+    also checks the format version and reports any failure as a
+    :class:`ManifestError`.
+    """
 
     schema = "pyranet/store-manifest/v1"
 
@@ -153,39 +158,22 @@ class StoreManifest:
             "verified": self.verified_summary(),
         }
 
-    # -- serialisation -------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": self.version,
-            "n_entries": self.n_entries,
-            "total_bytes": self.total_bytes,
-            "total_raw_bytes": self.total_raw_bytes,
-            "meta": dict(self.meta),
-            "shards": [info.to_dict() for info in self.shards],
-        }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    # -- loading -------------------------------------------------------
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "StoreManifest":
         try:
-            data = strip_schema(data)
             version = data.get("version", FORMAT_VERSION)
             if version != FORMAT_VERSION:
                 raise ManifestError(
                     f"unsupported manifest version {version!r} "
                     f"(this reader understands {FORMAT_VERSION})")
-            return cls(
-                version=version,
-                n_entries=data["n_entries"],
-                total_bytes=data["total_bytes"],
-                total_raw_bytes=data.get("total_raw_bytes", 0),
-                meta=dict(data.get("meta", {})),
-                shards=[ShardInfo.from_dict(item)
-                        for item in data.get("shards", [])],
-            )
+            missing = [key for key in ("n_entries", "total_bytes")
+                       if key not in data]
+            if missing:
+                raise ManifestError(
+                    f"malformed manifest: missing {', '.join(missing)}")
+            return super().from_dict(data)
         except (KeyError, TypeError, AttributeError) as exc:
             raise ManifestError(f"malformed manifest: {exc}") from exc
 

@@ -31,21 +31,20 @@ weighted, and curriculum draws are leakage-proof by construction.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from ..dataset.records import DatasetEntry
 from ..finetune.curriculum import Phase, curriculum_phases, random_phases
 from ..finetune.weighting import WeightSchedule, paper_schedule
-from ..obs.reportable import report_json, strip_schema
+from ..obs.reportable import Reportable
 from .errors import StoreError
 from .reader import StoreReader
 
 
 @dataclass
-class FamilySplit:
+class FamilySplit(Reportable):
     """A family-atomic train/eval partition of one store.
 
     Every design family's members land entirely on one side, so a
@@ -57,8 +56,7 @@ class FamilySplit:
     one family.
     """
 
-    schema = "pyranet/family-split/v1"
-
+    schema: str = field(default="pyranet/family-split/v1", init=False)
     seed: int = 0
     eval_fraction: float = 0.1
     n_groups: int = 0
@@ -74,34 +72,55 @@ class FamilySplit:
         return len(self.eval_ids)
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "seed": self.seed,
-            "eval_fraction": self.eval_fraction,
-            "n_groups": self.n_groups,
-            "n_train": self.n_train,
-            "n_eval": self.n_eval,
-            "train_ids": list(self.train_ids),
-            "eval_ids": list(self.eval_ids),
-        }
+        data = super().to_dict()
+        data.update(n_train=self.n_train, n_eval=self.n_eval)
+        return data
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return report_json(self.to_dict(), indent=indent)
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FamilySplit":
-        data = strip_schema(data)
-        return cls(
-            seed=data.get("seed", 0),
-            eval_fraction=data.get("eval_fraction", 0.1),
-            n_groups=data.get("n_groups", 0),
-            train_ids=list(data.get("train_ids", [])),
-            eval_ids=list(data.get("eval_ids", [])),
-        )
+def _weighted_phases(source: Union["SamplingService", "SplitView"],
+                     n_batches: int, batch_size: int, seed: int,
+                     schedule: Optional[WeightSchedule]) -> List[Phase]:
+    """Batches drawn with replacement from ``source``'s layers, with
+    probability ∝ layer weight × layer size.
 
-    @classmethod
-    def from_json(cls, text: str) -> "FamilySplit":
-        return cls.from_dict(json.loads(text))
+    Draws are made up front from one seeded RNG, so the stream is
+    independent of shard layout and read order; each referenced layer
+    is then fetched once, in layer order.
+    """
+    if n_batches <= 0 or batch_size <= 0:
+        raise ValueError("n_batches and batch_size must be positive")
+    schedule = schedule or paper_schedule()
+    sizes = {layer: count for layer, count in source.layer_sizes().items()
+             if layer > 0 and count > 0}
+    layers = sorted(sizes)
+    masses = [schedule.weight_for(layer) * sizes[layer] for layer in layers]
+    if sum(masses) <= 0:
+        raise ValueError(
+            f"no servable rows: schedule {schedule.name!r} gives zero "
+            f"weight to every populated layer {layers}")
+
+    rng = random.Random(seed)
+    n_draws = n_batches * batch_size
+    drawn_layers = rng.choices(layers, weights=masses, k=n_draws)
+    draws = [(layer, rng.randrange(sizes[layer])) for layer in drawn_layers]
+
+    by_layer: Dict[int, List[DatasetEntry]] = {}
+    for layer in sorted({layer for layer, _ in draws}):
+        by_layer[layer] = source.layer(layer)
+        if len(by_layer[layer]) != sizes[layer]:
+            # A lenient reader that skipped a corrupt shard serves
+            # fewer rows than the manifest promises; silently
+            # re-mapping draw indices would break determinism.
+            raise StoreError(
+                f"layer {layer} served {len(by_layer[layer])} rows "
+                f"but the manifest records {sizes[layer]}; weighted "
+                "sampling needs an intact store (repair or re-write "
+                "the corrupt shards)")
+    stream = [by_layer[layer][index] for layer, index in draws]
+    return [
+        Phase(0, None, tuple(stream[start:start + batch_size]))
+        for start in range(0, n_draws, batch_size)
+    ]
 
 
 class SplitView:
@@ -168,31 +187,10 @@ class SplitView:
         schedule: Optional[WeightSchedule] = None,
     ) -> List[Phase]:
         """Layer-weighted sampling with replacement over this side
-        only (same draw discipline as the service-wide mode)."""
-        if n_batches <= 0 or batch_size <= 0:
-            raise ValueError("n_batches and batch_size must be positive")
-        schedule = schedule or paper_schedule()
-        sizes = {number: size
-                 for number, size in self.layer_sizes().items()
-                 if number > 0 and size > 0}
-        layers = sorted(sizes)
-        masses = [schedule.weight_for(number) * sizes[number]
-                  for number in layers]
-        if sum(masses) <= 0:
-            raise StoreError(
-                f"no servable rows on this split side: schedule "
-                f"{schedule.name!r} gives zero weight to every "
-                f"populated layer {layers}")
-        rng = random.Random(self.seed if seed is None else seed)
-        n_draws = n_batches * batch_size
-        drawn = rng.choices(layers, weights=masses, k=n_draws)
-        draws = [(number, rng.randrange(sizes[number]))
-                 for number in drawn]
-        stream = [self.layer(number)[index] for number, index in draws]
-        return [
-            Phase(0, None, tuple(stream[start:start + batch_size]))
-            for start in range(0, n_draws, batch_size)
-        ]
+        only (the service-wide draw, restricted to the side's rows)."""
+        return _weighted_phases(self, n_batches, batch_size,
+                                self.seed if seed is None else seed,
+                                schedule)
 
 
 class SamplingService:
@@ -331,59 +329,12 @@ class SamplingService:
 
         With the default paper schedule a Layer-1 row is served 10× as
         often as a Layer-6 row of equal supply.  Zero-weight layers are
-        never served.  Draws are made up front from one seeded RNG, so
-        the served stream is independent of shard layout and read
-        order; shards are then fetched one layer at a time.
+        never served, and the stream does not depend on shard layout
+        (see :func:`_weighted_phases`).
         """
-        if n_batches <= 0 or batch_size <= 0:
-            raise ValueError("n_batches and batch_size must be positive")
         with self.reader.obs.span("store.serve.weighted",
                                   n_batches=n_batches,
                                   batch_size=batch_size):
-            return self._weighted_batches(n_batches, batch_size, seed,
-                                          schedule)
-
-    def _weighted_batches(
-        self,
-        n_batches: int,
-        batch_size: int,
-        seed: Optional[int],
-        schedule: Optional[WeightSchedule],
-    ) -> List[Phase]:
-        schedule = schedule or paper_schedule()
-        sizes = {layer: count for layer, count in self.layer_sizes().items()
-                 if layer > 0 and count > 0}
-        layers = sorted(sizes)
-        masses = [schedule.weight_for(layer) * sizes[layer]
-                  for layer in layers]
-        if sum(masses) <= 0:
-            raise ValueError(
-                f"no servable rows: schedule {schedule.name!r} gives zero "
-                f"weight to every populated layer {layers}")
-
-        rng = random.Random(self.seed if seed is None else seed)
-        n_draws = n_batches * batch_size
-        drawn_layers = rng.choices(layers, weights=masses, k=n_draws)
-        draws = [(layer, rng.randrange(sizes[layer]))
-                 for layer in drawn_layers]
-
-        # Fetch each referenced layer once (one layer in memory at a
-        # time), then assemble in draw order.
-        by_layer: Dict[int, List[DatasetEntry]] = {}
-        for layer in sorted({layer for layer, _ in draws}):
-            by_layer[layer] = self.layer(layer)
-            if len(by_layer[layer]) != sizes[layer]:
-                # A lenient reader that skipped a corrupt shard serves
-                # fewer rows than the manifest promises; silently
-                # re-mapping draw indices would break determinism.
-                raise StoreError(
-                    f"layer {layer} served {len(by_layer[layer])} rows "
-                    f"but the manifest records {sizes[layer]}; weighted "
-                    "sampling needs an intact store (repair or re-write "
-                    "the corrupt shards)")
-        stream = [by_layer[layer][index] for layer, index in draws]
-
-        return [
-            Phase(0, None, tuple(stream[start:start + batch_size]))
-            for start in range(0, n_draws, batch_size)
-        ]
+            return _weighted_phases(self, n_batches, batch_size,
+                                    self.seed if seed is None else seed,
+                                    schedule)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataset.records import DatasetEntry
+from ..obs.reportable import Reportable
 from .errors import ShardCorruptionError
 
 #: blake2b hex digest length used for shard names (16 bytes = 32 hex).
@@ -72,7 +73,7 @@ def decode_shard(payload: bytes, name: str = "<shard>") -> List[DatasetEntry]:
 
 
 @dataclass
-class ShardInfo:
+class ShardInfo(Reportable):
     """Manifest record for one shard.
 
     ``histogram`` maps layer number (as a string, for JSON) to a
@@ -111,35 +112,6 @@ class ShardInfo:
     def layer_counts(self) -> Dict[int, int]:
         return {int(layer): sum(counts.values())
                 for layer, counts in self.histogram.items()}
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "digest": self.digest,
-            "n_entries": self.n_entries,
-            "byte_size": self.byte_size,
-            "raw_size": self.raw_size,
-            "histogram": {layer: dict(counts)
-                          for layer, counts in self.histogram.items()},
-            "origins": dict(self.origins),
-            "families": dict(self.families),
-            "verified": self.verified,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ShardInfo":
-        return cls(
-            name=data["name"],
-            digest=data["digest"],
-            n_entries=data["n_entries"],
-            byte_size=data["byte_size"],
-            raw_size=data["raw_size"],
-            histogram={layer: dict(counts)
-                       for layer, counts in data.get("histogram", {}).items()},
-            origins=dict(data.get("origins", {})),
-            families=dict(data.get("families", {})),
-            verified=data.get("verified", 0),
-        )
 
 
 def build_histogram(entries: Sequence[DatasetEntry]) -> Dict[str, Dict[str, int]]:

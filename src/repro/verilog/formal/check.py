@@ -29,11 +29,11 @@ post-edge settle with the same cycle inputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Set, Tuple, Union)
 
+from ...obs.reportable import Reportable
 from .. import ast_nodes as ast
 from ..parser import ParseError, parse
 from ..sim.design import (
@@ -66,10 +66,10 @@ DesignLike = Union[str, Design]
 
 
 @dataclass
-class FormalReport:
+class FormalReport(Reportable):
     """Versioned, deterministic result document for one formal check."""
 
-    schema: str = FORMAL_REPORT_SCHEMA
+    schema: str = field(default=FORMAL_REPORT_SCHEMA, init=False)
     mode: str = "equivalence"  # equivalence | properties | verify
     #: equivalent | inequivalent | holds | fails | verified |
     #: unsupported | error
@@ -86,30 +86,6 @@ class FormalReport:
     @property
     def ok(self) -> bool:
         return self.status in ("equivalent", "holds", "verified")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "mode": self.mode,
-            "status": self.status,
-            "detail": self.detail,
-            "bound": self.bound,
-            "counterexample": self.counterexample,
-            "properties": self.properties,
-            "n_inputs": self.n_inputs,
-            "n_outputs": self.n_outputs,
-            "n_state_bits": self.n_state_bits,
-            "n_bdd_nodes": self.n_bdd_nodes,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FormalReport":
-        template = cls()
-        known = {f for f in template.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 class _VarPool:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set
+from typing import List, Mapping, Optional, Sequence, Set
 
+from ..obs.reportable import Reportable
 from . import ast_nodes as ast
 from .lexer import LexError
 from .parser import ParseError, parse
@@ -52,7 +53,7 @@ class Category(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Reportable):
     """One reported problem.
 
     ``column`` is 1-based where known (lexer/parser errors carry one);
@@ -70,15 +71,6 @@ class Diagnostic:
             f"{self.line}: {self.severity.value}: "
             f"[{self.category.value}] {self.message}"
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "severity": self.severity.value,
-            "category": self.category.value,
-            "message": self.message,
-            "line": self.line,
-            "column": self.column,
-        }
 
 
 @dataclass

@@ -5,9 +5,10 @@ import pytest
 from repro.dataset.filters import (
     has_module,
     is_readable,
-    run_filter_funnel,
     syntax_filter,
 )
+
+from .reference_funnel import run_filter_funnel
 
 GOOD = "module m(input a, output y);\n  assign y = ~a;\nendmodule\n"
 DEP = "module m(input a, output y);\n  missing u(.x(a), .y(y));\nendmodule\n"

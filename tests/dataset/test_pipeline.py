@@ -11,7 +11,6 @@ from repro.dataset.complexity import classify_code
 from repro.dataset.corrupt import shuffle_labels
 from repro.dataset.dedup import dedup_keep_indices
 from repro.dataset.describe import describe_source
-from repro.dataset.filters import run_filter_funnel
 from repro.dataset.io import load_jsonl, save_jsonl
 from repro.dataset.layering import assign_layers, layer_for
 from repro.dataset.pipeline import (
@@ -29,6 +28,8 @@ from repro.dataset.records import (
 from repro.pipeline import ParallelExecutor
 from repro.pipeline.cache import ResultCache, content_key
 from repro.pipeline.diskcache import DiskCache
+
+from .reference_funnel import run_filter_funnel
 
 
 def _legacy_curate(raw_files, seed):
