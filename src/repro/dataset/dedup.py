@@ -303,35 +303,3 @@ def dedup_keep_indices(
     """Convenience adapter for the filter funnel: indices to keep."""
     return deduplicate(codes, threshold).kept_indices
 
-
-def band_candidate_pairs(
-    keyed_indices: Sequence[Tuple[BandKey, int]],
-) -> List[Tuple[int, int]]:
-    """Map side of partitioned dedup: collision pairs in one partition.
-
-    ``keyed_indices`` are ``(band_key, index)`` emissions for the band
-    keys this partition owns.  Every pair of indices sharing a key is
-    emitted as ``(earlier, later)``, sorted — keep status is *not*
-    consulted here (it cannot be known partition-locally).
-
-    Why curation's spilled reduce, built on this, decides exactly like
-    :func:`deduplicate` for any band → partition assignment: the merged
-    pairs give each index ``i`` the set of ``j < i`` sharing a band key
-    with it.  Resolving indices in ascending order, ``j``'s verdict is
-    final when ``i`` is examined, so keeping only the ``j`` still kept
-    yields :func:`deduplicate`'s bucket contents, and
-    :meth:`DedupReport.decide` then makes the same decisions and counts
-    the same checks.
-    """
-    buckets: Dict[BandKey, List[int]] = {}
-    for key, index in keyed_indices:
-        buckets.setdefault(key, []).append(index)
-    pairs: Set[Tuple[int, int]] = set()
-    for members in buckets.values():
-        members.sort()
-        for pos in range(1, len(members)):
-            later = members[pos]
-            for earlier in members[:pos]:
-                if earlier != later:
-                    pairs.add((earlier, later))
-    return sorted(pairs)

@@ -29,15 +29,15 @@ survivor's shingle set and
 :func:`~.dedup.deduplicate` and the collision forest over them.
 Spilled to disk, holding every shingle set at once would defeat the
 spill, so phase 1 routes band keys to partitions instead: each
-partition emits its colliding pairs (:func:`~.dedup.band_candidate_pairs`,
-a shared-nothing map side) and one ascending resolve pass over the
-spilled survivors replays the sequential decisions exactly, holding
-only the shingle sets still referenced by unresolved pairs.  Both
-reduces decide through one rule, :meth:`~.dedup.DedupReport.decide`,
-and build their collision forest with one builder,
-:func:`~.families.collision_forest`.  The partitioned reduce is the
-only one that bounds memory; the in-memory one expands no candidate
-pairs and tokenises no survivor twice.  Both give the same bytes.
+partition writes its LSH buckets' memberships, one row per member (a
+shared-nothing map side, linear in its band-key emissions), and one
+ascending resolve pass over the spilled survivors replays the
+sequential bucket loop exactly, holding only the kept members of live
+buckets and their shingle sets.  Both reduces decide through one rule,
+:meth:`~.dedup.DedupReport.decide`, and build their collision forest
+with one builder, :func:`~.families.collision_forest`.  The
+partitioned reduce is the only one that bounds memory; the in-memory
+one tokenises no survivor twice.  Both give the same bytes.
 
 **Cache.**  A :class:`~repro.pipeline.ResultCache` holds each record's
 label outcome under its content.  The parent looks records up before a
@@ -95,9 +95,9 @@ from .complexity import classify_code
 from .dedup import (
     BANDS,
     N_PERM,
+    BandKey,
     DedupReport,
     MinHasher,
-    band_candidate_pairs,
     signature_band_keys,
     tokenize_for_dedup,
 )
@@ -388,18 +388,19 @@ def _label_batch(payload: tuple) -> Dict[str, Any]:
             "memo": memo.stats()}
 
 
-def _partition_pairs(arg: Tuple[str, str]) -> tuple:
-    """Partitioned-dedup map side: one partition's collision pairs,
-    sorted by (later, earlier) for the parent's streaming merge and
-    written back to disk — a partition's pairs can be quadratic in its
-    duplicate-cluster sizes (the map side cannot know which members the
-    sequential algorithm would have dropped), so they must never ride
-    home through the parent's memory wholesale.  Also returns
-    per-earlier reference counts, so the parent can evict shingles
-    without ever materialising the pair set, and the partition's
-    **partial union-find forest** (node -> min-index component root):
-    the parent merges the partial forests into the global LSH collision
-    forest for family clustering."""
+def _partition_buckets(arg: Tuple[str, str]) -> tuple:
+    """Partitioned-dedup map side: one partition's bucket memberships.
+
+    Every LSH bucket (band key) with two or more members becomes one
+    ``(index, bucket, is_last)`` row per member, ``is_last`` on its
+    highest index; the rows go back to disk sorted by index for the
+    parent's streaming merge.  That is one row per band-key emission at
+    most, where the bucket's candidate pairs would be quadratic in its
+    size.  Keep status is not consulted (it cannot be known
+    partition-locally).  Also returns the partition's **partial
+    union-find forest** (node -> min-index component root): the parent
+    merges the partial forests into the global LSH collision forest for
+    family clustering."""
     in_path, out_path = arg
     emissions: List[tuple] = []
     with open(in_path, "rb") as handle:
@@ -410,19 +411,23 @@ def _partition_pairs(arg: Tuple[str, str]) -> tuple:
             except EOFError:
                 break
     forest = collision_forest(emissions).compressed()
-    pairs = band_candidate_pairs(emissions)
-    pairs.sort(key=lambda pair: (pair[1], pair[0]))
-    refcounts: Dict[int, int] = {}
-    for earlier, _later in pairs:
-        refcounts[earlier] = refcounts.get(earlier, 0) + 1
+    buckets: Dict[BandKey, set] = {}
+    for key, index in emissions:
+        buckets.setdefault(key, set()).add(index)
+    rows = []
+    for key, members in buckets.items():
+        if len(members) > 1:
+            last = max(members)
+            rows.extend((index, key, index == last) for index in members)
+    rows.sort()
     with open(out_path, "wb") as handle:
-        for start in range(0, len(pairs), 8192):
-            pickle.dump(pairs[start:start + 8192], handle, protocol=4)
-    return out_path, sorted(refcounts.items()), forest
+        for start in range(0, len(rows), 8192):
+            pickle.dump(rows[start:start + 8192], handle, protocol=4)
+    return out_path, forest
 
 
-def _pair_stream(path: str) -> Iterator[Tuple[int, int]]:
-    """Lazily re-read one partition's (later, earlier)-sorted pairs."""
+def _row_stream(path: str) -> Iterator[Tuple[int, BandKey, bool]]:
+    """Lazily re-read one partition's index-sorted membership rows."""
     with open(path, "rb") as handle:
         while True:
             try:
@@ -430,6 +435,13 @@ def _pair_stream(path: str) -> Iterator[Tuple[int, int]]:
             except EOFError:
                 return
             yield from chunk
+
+
+def _family_meta(content: str, provenance: Dict[str, Any]
+                 ) -> Dict[str, Any]:
+    """A family member's metadata, as both dedup reduces record it."""
+    return {"path": provenance["path"], "origin": provenance["origin"],
+            "modules": module_names(content)}
 
 
 # -- bounded spill primitives ------------------------------------------
@@ -502,14 +514,14 @@ class _PartitionSpill:
     def worker_args(self) -> List[Tuple[str, str]]:
         for handle in self._handles:
             handle.close()
-        return [(str(path), str(path) + ".pairs") for path in self._paths]
+        return [(str(path), str(path) + ".rows") for path in self._paths]
 
     def cleanup(self) -> None:
         for handle in self._handles:
             if not handle.closed:
                 handle.close()
         for path in self._paths:
-            for victim in (path, Path(str(path) + ".pairs")):
+            for victim in (path, Path(str(path) + ".rows")):
                 try:
                     victim.unlink()
                 except OSError:
@@ -834,15 +846,9 @@ class CurationPipeline:
         shingle_sets = [shingles for shingles, _ in run.signed]
         band_keys = [keys for _, keys in run.signed]
         run.signed = []  # the reduce is their last use
-
-        def meta_for(index: int) -> Dict[str, Any]:
-            content, provenance = survivors[index]
-            return {"path": provenance["path"],
-                    "origin": provenance["origin"],
-                    "modules": module_names(content)}
-
         report, family_index = build_family_artifacts(
-            [survivors[index][0] for index in indices], indices, meta_for,
+            [survivors[index][0] for index in indices], indices,
+            lambda index: _family_meta(*survivors[index]),
             threshold=self.dedup_threshold, seed=self.seed,
             shingle_sets=shingle_sets, band_keys=band_keys)
         duplicates = {indices[position] for position in report.duplicate_of}
@@ -851,96 +857,80 @@ class CurationPipeline:
     def _dedup_partitioned(self, run: _Run
                            ) -> Tuple[Collection[int], int, FamilyIndex]:
         """The reduce for spilled survivors: map per partition, then zip
-        a streaming merge of the partition pair streams against one
-        ascending pass over the spilled survivors, deciding each through
-        :meth:`~.dedup.DedupReport.decide` — the decisions (and the
-        candidate-pairs-checked count) equal :func:`~.dedup.deduplicate`
-        exactly; :func:`~.dedup.band_candidate_pairs` says why.
+        a streaming merge of the partitions' membership rows against
+        one ascending pass over the spilled survivors.
 
-        The pair set is never materialised in this process: each
-        partition's pairs arrive (later, earlier)-sorted from disk and
-        ``heapq.merge`` hands the resolve loop one index's candidates at
-        a time.  Parent-side dedup state is the per-earlier reference
-        counts (ints), the drop decisions, and the shingle sets (plus
-        family metadata) of kept files still awaited by unresolved
-        pairs.
+        This is :func:`~.dedup.deduplicate`'s own bucket loop, with each
+        bucket evicted at its last member, so the decisions (and the
+        candidate-pairs-checked count) are :func:`~.dedup.deduplicate`'s
+        exactly, for any band-key → partition assignment.  At index
+        ``i``, a live bucket's list holds its kept members below ``i``:
+        every member below ``i`` has been ruled on and joined the list
+        if kept, and the bucket is evicted only at its last member.
+        That is what :func:`~.dedup.deduplicate`'s bucket for the key
+        holds when it reaches ``i``; the candidates are the sorted union
+        of those lists and :meth:`~.dedup.DedupReport.decide` rules on
+        them.
+
+        No candidate pair is materialised and the rows stream from
+        disk.  Parent-side dedup state is the live buckets' kept lists,
+        the drop decisions, and the shingle sets (plus family metadata)
+        of the kept files in live buckets.
 
         Also merges the workers' partial collision forests into the
         global one and captures path/origin/module metadata for each
         family member at decision time — the same family inputs the
         in-memory reduce derives.
         """
-        results = run.executor.map(_partition_pairs,
+        results = run.executor.map(_partition_buckets,
                                    run.shuffle.worker_args())
-
-        # How many raw pairs still reference each earlier index;
-        # shingles are retained only while referenced.  Counts are per
-        # raw (pre-merge) pair and so is the decrement below, so the
-        # count hits zero exactly at the last reference even when two
-        # partitions emitted the same pair via different bands.
-        refcount: Dict[int, int] = {}
         forest = FamilyForest()
-        for _path, counts, partial in results:
-            for earlier, count in counts:
-                refcount[earlier] = refcount.get(earlier, 0) + count
+        for _path, partial in results:
             forest.merge(partial)
-        merged = heapq.merge(
-            *(_pair_stream(path) for path, _counts, _partial in results),
-            key=lambda pair: (pair[1], pair[0]))
-        pending = next(merged, None)
+        rows = heapq.merge(*(_row_stream(path) for path, _ in results))
+        pending = next(rows, None)
 
-        # Shingle sets and metadata of referenced *kept* files only: a
-        # candidate is still kept exactly when its shingles are held.
-        shingles: Dict[int, Any] = {}
-        kept_meta: Dict[int, Dict[str, Any]] = {}
+        # Live bucket -> its kept members so far, ascending.
+        live: Dict[BandKey, List[int]] = {}
+        # Kept file in a live bucket -> [live buckets holding it, its
+        # shingle set, its family metadata].
+        held: Dict[int, list] = {}
         report = DedupReport()
         family_meta: Dict[int, Dict[str, Any]] = {}
         for batch in run.spill.iter_payloads():
             for index, content, provenance in batch:
-                referenced = index in refcount
-                # Drain this index's candidates from the merged stream:
-                # ascending by earlier, cross-partition duplicates
-                # collapsed for the decision but decremented raw.
-                candidates: List[int] = []
-                consumed: List[int] = []
-                while pending is not None and pending[1] <= index:
-                    earlier = pending[0]
-                    if pending[1] == index:
-                        if not candidates or candidates[-1] != earlier:
-                            candidates.append(earlier)
-                        consumed.append(earlier)
-                    pending = next(merged, None)
-                own_shingles = (tokenize_for_dedup(content)
-                                if (referenced or candidates) else None)
-                dropped = report.decide(
-                    index, own_shingles,
-                    ((candidate, shingles[candidate])
-                     for candidate in candidates if candidate in shingles),
-                    self.dedup_threshold)
-                if dropped:
-                    # Capture family metadata now, while the canonical's
-                    # refcounted state is guaranteed to still be alive.
+                memberships = []
+                while pending is not None and pending[0] == index:
+                    memberships.append(pending)
+                    pending = next(rows, None)
+                if not memberships:
+                    continue  # alone in every bucket: kept, unseen
+                candidates = set()
+                for _index, bucket, _last in memberships:
+                    candidates.update(live.get(bucket, ()))
+                joins = [bucket for _index, bucket, last in memberships
+                         if not last]
+                shingles = (tokenize_for_dedup(content)
+                            if candidates or joins else None)
+                if report.decide(index, shingles,
+                                 ((candidate, held[candidate][1])
+                                  for candidate in sorted(candidates)),
+                                 self.dedup_threshold):
                     duplicate = report.duplicate_of[index]
-                    family_meta[index] = {
-                        "path": provenance["path"],
-                        "origin": provenance["origin"],
-                        "modules": module_names(content)}
+                    family_meta[index] = _family_meta(content, provenance)
                     if duplicate not in family_meta:
-                        family_meta[duplicate] = kept_meta[duplicate]
-                for candidate in consumed:
-                    remaining = refcount.get(candidate, 0) - 1
-                    if remaining <= 0:
-                        refcount.pop(candidate, None)
-                        shingles.pop(candidate, None)
-                        kept_meta.pop(candidate, None)
-                    else:
-                        refcount[candidate] = remaining
-                if referenced and not dropped:
-                    shingles[index] = own_shingles
-                    kept_meta[index] = {
-                        "path": provenance["path"],
-                        "origin": provenance["origin"],
-                        "modules": module_names(content)}
+                        family_meta[duplicate] = held[duplicate][2]
+                elif joins:
+                    for bucket in joins:
+                        live.setdefault(bucket, []).append(index)
+                    held[index] = [len(joins), shingles,
+                                   _family_meta(content, provenance)]
+                for _index, bucket, last in memberships:
+                    if last:
+                        for member in live.pop(bucket, ()):
+                            held[member][0] -= 1
+                            if not held[member][0]:
+                                del held[member]
         run.shuffle.cleanup()
         family_index = FamilyIndex.build(
             report.duplicate_of, report.similarities, forest, family_meta,

@@ -46,8 +46,9 @@ class ParallelExecutor:
 
     Args:
         mode: one of ``serial``, ``thread``, ``process``.
-        max_workers: pool size (ignored in serial mode); defaults to
-            ``os.cpu_count()`` capped at 8.
+        max_workers: pool size; defaults to ``os.cpu_count()`` capped
+            at 8.  A serial executor holds and reports 1, so its
+            reports do not depend on the host.
         chunk_size: items per submitted task; ``None`` picks a chunk
             count of roughly 4 tasks per worker.
     """
@@ -61,7 +62,8 @@ class ParallelExecutor:
         if mode not in MODES:
             raise ValueError(f"mode={mode!r}; choose from {MODES}")
         self.mode = mode
-        self.max_workers = max_workers or min(os.cpu_count() or 1, 8)
+        self.max_workers = (1 if mode == "serial"
+                            else max_workers or min(os.cpu_count() or 1, 8))
         self.chunk_size = chunk_size
         #: True when the last map degraded to serial (pool failure or
         #: unpicklable work in process mode).

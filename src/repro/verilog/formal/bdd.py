@@ -14,7 +14,12 @@ Nodes live in one arena per :class:`BDDManager`:
   when it is 0 and ``hi`` when it is 1 — interned in a unique table so
   structurally equal functions share one node;
 * ``ite`` (if-then-else) is the single connective everything else is
-  built from, memoised in a computed table.
+  built from, memoised in a computed table.  It is one kernel, a
+  closure over the arena's tables built once per manager, that reads
+  cofactors straight from the node tuples and interns inline; its
+  hi-then-lo recursion creates the same nodes, in the same order, as
+  the textbook definition.  The closure does not pickle: a manager
+  lives and dies inside the process that runs its check.
 
 Variable order is allocation order.  The manager enforces a node
 budget: crossing it raises :class:`BDDBudgetError`, which the checker
@@ -23,7 +28,7 @@ reports as an *unsupported* verdict — never a wrong one.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 #: Terminal node ids.
 FALSE = 0
@@ -49,6 +54,8 @@ class BDDManager:
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         self.n_vars = 0
+        #: if ``f`` then ``g`` else ``h`` — the universal connective.
+        self.ite: Callable[[int, int, int], int] = self._ite_kernel()
 
     # -- introspection --------------------------------------------------
 
@@ -57,11 +64,6 @@ class BDDManager:
 
     def var_of(self, node: int) -> int:
         return self._nodes[node][0]
-
-    def cofactors(self, node: int) -> Tuple[int, int]:
-        """(lo, hi) children of an internal node."""
-        _, lo, hi = self._nodes[node]
-        return lo, hi
 
     # -- construction ---------------------------------------------------
 
@@ -91,36 +93,63 @@ class BDDManager:
 
     # -- the connective -------------------------------------------------
 
-    def ite(self, f: int, g: int, h: int) -> int:
-        """if ``f`` then ``g`` else ``h`` — the universal connective."""
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == TRUE and h == FALSE:
-            return f
-        key = (f, g, h)
-        found = self._ite_cache.get(key)
-        if found is not None:
-            return found
-        var = min(v for v in (self.var_of(f), self.var_of(g),
-                              self.var_of(h)) if v >= 0)
+    def _ite_kernel(self) -> Callable[[int, int, int], int]:
+        """``ite`` as one closure over the arena's tables: terminal
+        cases, the computed table, then a split of every operand on the
+        top variable (an operand that does not test it, terminals
+        included, is its own cofactor), hi before lo, and the result
+        interned as :meth:`_mk` would."""
+        nodes, budget = self._nodes, self.node_budget
+        computed, computed_get = self._ite_cache, self._ite_cache.get
+        unique, unique_get = self._unique, self._unique.get
 
-        def split(node: int) -> Tuple[int, int]:
-            if self.var_of(node) == var:
-                return self.cofactors(node)
-            return node, node
+        def ite(f: int, g: int, h: int) -> int:
+            # TRUE and FALSE as literals: no global lookups per call.
+            if f == 1:
+                return g
+            if f == 0:
+                return h
+            if g == h:
+                return g
+            if g == 1 and h == 0:
+                return f
+            key = (f, g, h)
+            found = computed_get(key)
+            if found is not None:
+                return found
+            f_var, f0, f1 = nodes[f]
+            g_var, g0, g1 = nodes[g]
+            h_var, h0, h1 = nodes[h]
+            # Terminals carry variable -1: never the top variable.
+            var = f_var
+            if 0 <= g_var < var:
+                var = g_var
+            if 0 <= h_var < var:
+                var = h_var
+            if f_var != var:
+                f0 = f1 = f
+            if g_var != var:
+                g0 = g1 = g
+            if h_var != var:
+                h0 = h1 = h
+            hi = ite(f1, g1, h1)
+            lo = ite(f0, g0, h0)
+            if lo == hi:
+                result = lo
+            else:
+                node = (var, lo, hi)
+                result = unique_get(node)
+                if result is None:
+                    result = len(nodes)
+                    if result >= budget:
+                        raise BDDBudgetError(
+                            f"BDD node budget exceeded ({budget} nodes)")
+                    nodes.append(node)
+                    unique[node] = result
+            computed[key] = result
+            return result
 
-        f0, f1 = split(f)
-        g0, g1 = split(g)
-        h0, h1 = split(h)
-        hi = self.ite(f1, g1, h1)
-        lo = self.ite(f0, g0, h0)
-        result = self._mk(var, lo, hi)
-        self._ite_cache[key] = result
-        return result
+        return ite
 
     # -- boolean algebra ------------------------------------------------
 

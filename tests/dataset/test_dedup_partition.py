@@ -1,8 +1,8 @@
 """Curation's band-partitioned dedup reduce ≡ the sequential algorithm.
 
 A spilled :class:`CurationPipeline` run dedups through the
-band-partitioned map side (:func:`band_candidate_pairs` per partition)
-and one ascending resolve pass; an in-memory run calls
+band-partitioned map side (each partition's bucket memberships) and
+one ascending resolve pass; an in-memory run calls
 :func:`deduplicate`.  Both must make the same decisions — the dedup
 drops, the ``curation.dedup`` span's ``candidate_pairs_checked``, and
 the family report — and those must equal :func:`deduplicate`'s over the
@@ -17,11 +17,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.corpus import generate_design
 from repro.corpus.github_sim import RawFile
 from repro.dataset import streaming
 from repro.dataset.dedup import (
+    BANDS,
     MinHasher,
-    band_candidate_pairs,
     deduplicate,
     signature_band_keys,
     tokenize_for_dedup,
@@ -56,6 +57,25 @@ def _corpus(seed: int, n: int):
             code = body if roll > 0.9 else (
                 f"module m{rng.randrange(3)} {body} endmodule")
         codes.append(code)
+    return codes
+
+
+def _edited_copies(seed: int, n_copies: int = 150):
+    """Three corpus designs, each followed by ``n_copies`` copies with
+    0-39 extra wire declarations, shuffled together: buckets up to
+    about a hundred members deep, holding drops and keeps of several
+    designs."""
+    rng = random.Random(seed)
+    codes = []
+    for family in ("alu", "shift_register", "priority_encoder"):
+        source = generate_design(family, random.Random(f"{family}/0")).source
+        head, tail = source.rsplit("endmodule", 1)
+        codes.append(source)
+        for copy in range(n_copies):
+            extra = "".join(f"  wire e{copy}_{k};\n"
+                            for k in range(rng.randrange(40)))
+            codes.append(f"{head}{extra}endmodule{tail}")
+    rng.shuffle(codes)
     return codes
 
 
@@ -156,12 +176,49 @@ class TestBandKeys:
         assert first == second
 
 
+def map_side(emissions, directory):
+    """One partition's map side over ``emissions``: its rows as read
+    back from disk, and its partial collision forest."""
+    spill = streaming._PartitionSpill(1, directory)
+    spill.add(emissions)
+    (arg,) = spill.worker_args()
+    path, forest = streaming._partition_buckets(arg)
+    return list(streaming._row_stream(path)), forest
+
+
 class TestMapSide:
-    def test_pairs_are_sorted_unique_ascending(self):
+    def test_rows_are_bucket_memberships_sorted_by_index(self, tmp_path):
         keyed = [((0, "k"), 3), ((0, "k"), 1), ((0, "k"), 3),
                  ((0, "k"), 0), ((1, "j"), 5)]
-        pairs = band_candidate_pairs(keyed)
-        assert pairs == [(0, 1), (0, 3), (1, 3)]
+        rows, forest = map_side(keyed, tmp_path)
+        # One row per member of each multi-member bucket, the last
+        # member flagged; the single-member bucket writes nothing.
+        assert rows == [(0, (0, "k"), False), (1, (0, "k"), False),
+                        (3, (0, "k"), True)]
+        assert forest == {0: 0, 1: 0, 3: 0}
+
+    def test_one_bucket_writes_one_row_per_member(self, tmp_path):
+        # Expanding this bucket's pairs would write 300 * 299 / 2 =
+        # 44,850 of them.
+        rows, _forest = map_side([((4, "k"), index)
+                                  for index in range(300)], tmp_path)
+        assert rows == [(index, (4, "k"), index == 299)
+                        for index in range(300)]
+
+    def test_rows_bounded_by_bands_times_survivors(self):
+        codes = _edited_copies(1, n_copies=60)
+        written = []
+        partition_buckets = streaming._partition_buckets
+
+        def counted(arg):
+            path, forest = partition_buckets(arg)
+            written.append(len(list(streaming._row_stream(path))))
+            return path, forest
+
+        with mock.patch.object(streaming, "_partition_buckets", counted):
+            curate_spilled(codes, 4)
+        assert len(written) == 4
+        assert 0 < sum(written) <= BANDS * len(codes)
 
     def test_merge_dedups_across_partitions(self):
         # Identical files collide in all 16 bands, so with 16
@@ -173,8 +230,8 @@ class TestMapSide:
         assert decisions["pairs_checked"] == 1
         assert_same_decisions(codes, decisions, curate(codes))
 
-    def test_empty(self):
-        assert band_candidate_pairs([]) == []
+    def test_empty(self, tmp_path):
+        assert map_side([], tmp_path) == ([], {})
         decisions = curate_spilled([], n_partitions=4)
         assert decisions["duplicate_of"] == {}
         assert decisions["pairs_checked"] == 0
@@ -224,6 +281,23 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             deduplicate(["module m endmodule"],
                         shingle_sets=[frozenset({"module m endmodule"})])
+
+
+@pytest.fixture(scope="module")
+def heavy():
+    codes = _edited_copies(0)
+    return codes, curate(codes)
+
+
+class TestDuplicateHeavy:
+    @pytest.mark.parametrize("n_partitions", [1, 3, 8])
+    def test_spilled_equals_in_memory_and_sequential(self, heavy,
+                                                     n_partitions):
+        codes, in_memory = heavy
+        spilled = curate_spilled(codes, n_partitions)
+        assert spilled["duplicate_of"]
+        assert len(spilled["duplicate_of"]) < len(codes) - 3
+        assert_same_decisions(codes, spilled, in_memory)
 
 
 class TestResolve:

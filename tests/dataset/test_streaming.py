@@ -26,7 +26,8 @@ from repro.dataset.streaming import (
 )
 from repro.obs import Observability
 from repro.pipeline import ParallelExecutor
-from repro.resilience import Checkpointer, Resilience
+from repro.resilience import (Checkpointer, FaultPlan, FaultRule,
+                              Resilience, SimulatedCrash)
 from repro.service.handlers import dataset_digest
 
 SEED = 0
@@ -222,6 +223,21 @@ class TestProcessPool:
         assert serial == pooled
         assert serial[0] > 0 and serial[1] > 0
 
+    def test_spilled_run_on_two_processes(self, tmp_path):
+        """Spill plus a 2-process pool, fed as a batch stream: the
+        configuration of the benchmark's streaming curation run."""
+        executor = ParallelExecutor(mode="process", max_workers=2)
+        pipeline = CurationPipeline(seed=SEED, executor=executor,
+                                    spill_dir=str(tmp_path / "spill"))
+        size = pipeline.batch_size
+        raw_files = make_raw_files()
+        source = chain_batches(
+            raw_file_batches(raw_files[start:start + size]
+                             for start in range(0, len(raw_files), size)),
+            generated_batches(make_generated(), batch_size=size))
+        assert_golden(pipeline.run_stream(source))
+        assert not executor.fell_back
+
     def test_warm_facade_run_under_a_process_pool(self, tmp_path):
         """``PyraNet(cache_dir=...)`` reaches curation whatever the
         executor: a second build over the same corpus recomputes no
@@ -303,3 +319,29 @@ class TestCrashResume:
         result, res = self.run_streaming(corpus, journal, batch_size=48)
         assert_golden(result)
         assert res.summary()["resumed_batches"] == 0
+
+    @pytest.mark.faults
+    def test_spilled_run_resumes_after_a_crash(self, corpus, tmp_path):
+        """A spilled run killed in the label phase resumes from its
+        journal: the dedup reduce is rebuilt from the journaled phase-1
+        emissions and the output is the golden bytes."""
+        raw_files, generated = corpus
+        journal = tmp_path / "journal"
+
+        def run(resilience):
+            return CurationPipeline(
+                seed=SEED, batch_size=24, n_partitions=3,
+                spill_dir=tmp_path / "spill", resilience=resilience,
+            ).run(raw_files, generated)
+
+        plan = FaultPlan([FaultRule(site="stage.syntax_check",
+                                    kind="crash", ordinals=(40,))])
+        with pytest.raises(SimulatedCrash):
+            run(Resilience(checkpointer=Checkpointer(journal, interval=4),
+                           fault_plan=plan))
+        revived = Resilience(checkpointer=Checkpointer(journal, interval=4))
+        assert_golden(run(revived))
+        assert revived.summary()["resumed_batches"] > 0
+        leftovers = [p for p in (tmp_path / "spill").rglob("*")
+                     if p.is_file()]
+        assert leftovers == []

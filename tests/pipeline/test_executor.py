@@ -1,7 +1,11 @@
 """ParallelExecutor.map: every mode, order preservation, serial fallback."""
 
+import os
+
 import pytest
 
+from repro.corpus.github_sim import GitHubScrapeSimulator
+from repro.dataset.streaming import CurationPipeline
 from repro.pipeline import ParallelExecutor
 
 
@@ -45,3 +49,20 @@ class TestParallelExecutor:
                                     chunk_size=3)
         items = list(range(10))
         assert executor.map(_double, items) == [x * 2 for x in items]
+
+
+class TestSerialDescription:
+    """A serial executor's report is the same on every host."""
+
+    SERIAL = {"mode": "serial", "max_workers": 1}
+
+    def test_serial_holds_one_worker(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert ParallelExecutor.serial().describe() == self.SERIAL
+        assert ParallelExecutor(mode="thread").max_workers == 8
+
+    def test_default_curation_trace(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        raw_files = GitHubScrapeSimulator(seed=0).scrape(20)
+        result = CurationPipeline(seed=0).run(raw_files)
+        assert result.report.trace.meta["executor"] == self.SERIAL
