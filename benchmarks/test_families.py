@@ -12,7 +12,7 @@ Two numbers this PR is accountable for, emitted to
   strings, never hashing).
 * **Zero recompute** — asserted *counter-exactly*, not by timing: the
   family-aware run performs precisely as many signature calls and
-  shingle digests as plain dedup (``MinHasher`` counts both).
+  signs as many shingles as plain dedup (``MinHasher`` counts both).
 
 Deliberately free of ``pytest-benchmark``: the CI smoke job runs this
 file both as a test and as a plain script (``python
@@ -98,7 +98,7 @@ def summary_lines(payload: Dict[str, Any]) -> list:
         f"  zero recompute    : "
         f"{payload['zero_recompute']['signature_calls']} signature "
         f"calls, {payload['zero_recompute']['shingles_hashed']} "
-        f"shingle digests (counter-exact match with plain dedup)",
+        f"shingles signed (counter-exact match with plain dedup)",
     ]
 
 

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple)
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|[^\sA-Za-z0-9_]")
+_LINE_COMMENT_RE = re.compile(r"//[^\n]*")
+_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.S)
 
 
 def tokenize_for_dedup(code: str) -> FrozenSet[str]:
@@ -24,16 +27,15 @@ def tokenize_for_dedup(code: str) -> FrozenSet[str]:
 
     Comments are stripped first (forked files often only differ in
     headers), then 3-token shingles are formed so ordering matters —
-    plain bags of tokens make all small counters look identical.
+    plain bags of tokens make all small counters look identical.  Line
+    comments go first, in their own pass: one combined pattern would
+    read ``/* … // … */`` differently.
     """
-    text = re.sub(r"//[^\n]*", "", code)
-    text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
+    text = _BLOCK_COMMENT_RE.sub("", _LINE_COMMENT_RE.sub("", code))
     tokens = _TOKEN_RE.findall(text)
     if len(tokens) < 3:
         return frozenset(tokens)
-    return frozenset(
-        " ".join(tokens[i:i + 3]) for i in range(len(tokens) - 2)
-    )
+    return frozenset(map(" ".join, zip(tokens, tokens[1:], tokens[2:])))
 
 
 def jaccard(a: FrozenSet[str], b: FrozenSet[str]) -> float:
@@ -108,6 +110,11 @@ class MinHasher:
     (``benchmarks/test_dedup_throughput.py`` pins the speedup).  The
     lanes are vectorised with numpy when it is importable; the
     pure-Python fallback computes the identical integers.
+
+    A hasher memoises each shingle's digest for its own lifetime, so
+    a shingle that many files share is digested once.  Curation builds
+    one hasher per phase-1 batch, which bounds the memo by one batch's
+    distinct shingles.
     """
 
     n_perm: int = N_PERM
@@ -117,11 +124,13 @@ class MinHasher:
         self._params = [_perm_params(self.seed, index)
                         for index in range(self.n_perm)]
         # Work counters: how many signatures were computed and how many
-        # shingles were digested.  Family construction
-        # (:mod:`.families`) reuses signatures instead of re-hashing;
-        # these counters let tests assert that counter-exactly.
+        # shingles they signed, memoised digests included.  Family
+        # construction (:mod:`.families`) reuses signatures instead of
+        # re-signing; these counters let tests assert that
+        # counter-exactly.
         self.n_signature_calls = 0
         self.n_shingles_hashed = 0
+        self._digests: Dict[str, int] = {}
         if _np is not None:
             self._a = _np.array([a for a, _ in self._params],
                                 dtype=_np.uint64)[:, None]
@@ -133,11 +142,14 @@ class MinHasher:
         if not shingles:
             return tuple([0] * self.n_perm)
         self.n_shingles_hashed += len(shingles)
-        hashes = [_shingle_hash(s) for s in shingles]
+        digests = self._digests
+        for shingle in shingles.difference(digests):
+            digests[shingle] = _shingle_hash(shingle)
+        hashes = list(map(digests.__getitem__, shingles))
         if _np is not None and len(hashes) >= _VECTOR_MIN_SHINGLES:
             lanes = (self._a * _np.array(hashes, dtype=_np.uint64)
                      + self._b) % _np.uint64(_MERSENNE_P)
-            return tuple(int(lane) for lane in lanes.min(axis=1))
+            return tuple(lanes.min(axis=1).tolist())
         p = _MERSENNE_P
         return tuple(
             min((a * h + b) % p for h in hashes)
@@ -168,13 +180,17 @@ BandKey = Tuple[int, str]
 
 def signature_band_keys(signature: Sequence[int],
                         bands: int) -> List[BandKey]:
-    """All LSH bucket keys of one signature, band by band."""
+    """All LSH bucket keys of one signature, band by band: each band's
+    :func:`band_key`, digested from one packing of every lane."""
     n_perm = len(signature)
     if n_perm % bands != 0:
         raise ValueError(f"bands={bands} must divide n_perm={n_perm}")
-    rows = n_perm // bands
-    return [band_key(band, signature[band * rows:(band + 1) * rows])
-            for band in range(bands)]
+    raw = struct.pack(f"<{n_perm}Q", *signature)
+    width = 8 * (n_perm // bands)
+    blake2b = hashlib.blake2b
+    return [(band, blake2b(raw[start:start + width],
+                           digest_size=8).hexdigest())
+            for band, start in enumerate(range(0, 8 * n_perm, width))]
 
 
 @dataclass

@@ -133,9 +133,16 @@ class FamilyForest:
         parent[high] = low
 
     def merge(self, parent_map: Dict[int, int]) -> None:
-        """Fold another forest's ``compressed()`` map into this one."""
+        """Fold another forest's ``compressed()`` map into this one.
+
+        A root's self-entry only registers the root; the entries below
+        a root each cost one :meth:`union`."""
+        parent = self._parent
         for node, root in parent_map.items():
-            self.union(node, root)
+            if node == root:
+                parent.setdefault(node, node)
+            else:
+                self.union(node, root)
 
     def compressed(self) -> Dict[int, int]:
         """``node -> min index of its component`` for every known node."""

@@ -75,7 +75,6 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import (Any, Collection, Dict, Iterable, Iterator, List,
@@ -255,20 +254,17 @@ def chain_batches(*sources: Iterable[List[_SourceRecord]],
 # -- worker functions (module-level: process-pool picklable) ------------
 
 
-@lru_cache(maxsize=None)
-def _hasher() -> MinHasher:
-    """Per-process hasher: MinHasher's permutation tables are built
-    once per worker process, not once per batch."""
-    return MinHasher(N_PERM)
-
-
 def _filter_sign_batch(payload: tuple) -> Dict[str, Any]:
     """Phase 1, fused per batch: ``empty_broken → module_decl``, then
     each survivor's MinHash signature and its LSH band keys — returned
     with its shingle set for the in-memory reduce, or as band-key
-    emissions for the partitioned one."""
+    emissions for the partitioned one.
+
+    The batch signs with its own :class:`MinHasher`, so a shingle that
+    several of its files share is digested once, and no digest
+    outlives the batch."""
     batch_index, items, band_keys = payload
-    hasher = _hasher()
+    hasher = MinHasher(N_PERM)
     survivors: List[tuple] = []
     signed: List[tuple] = []
     emissions: List[tuple] = []

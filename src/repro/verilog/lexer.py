@@ -17,8 +17,7 @@ import enum
 import functools
 import re
 import sys
-from dataclasses import dataclass
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -59,9 +58,12 @@ _OPERATORS = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token: an immutable, hashable, picklable tuple.
+
+    The scanner builds each one with ``tuple.__new__``, skipping the
+    Python-level ``__new__`` that ``NamedTuple`` generates: every file
+    that is checked for syntax is lexed in full.
 
     Attributes:
         kind: lexical category.
@@ -206,6 +208,7 @@ class Lexer:
     def _scan(self) -> Iterator[Token]:
         src = self._src
         pattern = _ASCII_PATTERN if src.isascii() else _unicode_pattern()
+        new = tuple.__new__
         line, line_start = 1, 0
         for match in pattern.finditer(src):
             group = match.lastgroup
@@ -218,28 +221,28 @@ class Lexer:
                 continue
             col = start - line_start + 1
             if group == "ident":
-                yield Token(TokenKind.KEYWORD if text in KEYWORDS
-                            else TokenKind.IDENT, text, line, col)
+                yield new(Token, (TokenKind.KEYWORD if text in KEYWORDS
+                                  else TokenKind.IDENT, text, line, col))
             elif group == "op":
-                yield Token(TokenKind.OPERATOR, text, line, col)
+                yield new(Token, (TokenKind.OPERATOR, text, line, col))
             elif group == "number" or group == "based":
                 if text[-1] == "'":
                     quote = start + len(text) - 1
                     raise LexError(_suffix_error(src, quote), line,
                                    quote - line_start + 1)
-                yield Token(TokenKind.NUMBER, text, line, col)
+                yield new(Token, (TokenKind.NUMBER, text, line, col))
             elif group == "string":
                 value = text[1:-1]
                 if "\\" in value:
                     value = _ESCAPE.sub(_unescape, value)
-                yield Token(TokenKind.STRING, value, line, col)
+                yield new(Token, (TokenKind.STRING, value, line, col))
                 if "\n" in text:
                     line += text.count("\n")
                     line_start = start + text.rindex("\n") + 1
             elif group == "system":
-                yield Token(TokenKind.SYSTEM_IDENT, text, line, col)
+                yield new(Token, (TokenKind.SYSTEM_IDENT, text, line, col))
             elif group == "escaped":
-                yield Token(TokenKind.IDENT, text, line, col)
+                yield new(Token, (TokenKind.IDENT, text, line, col))
             elif group == "comment":
                 raise LexError("unterminated block comment", line, col)
             elif group == "attribute":
@@ -250,7 +253,7 @@ class Lexer:
                 raise LexError("unterminated string literal", line, col)
             else:
                 raise LexError(f"unexpected character {text!r}", line, col)
-        yield Token(TokenKind.EOF, "", line, len(src) - line_start + 1)
+        yield new(Token, (TokenKind.EOF, "", line, len(src) - line_start + 1))
 
 
 def tokenize(source: str) -> List[Token]:

@@ -116,6 +116,29 @@ class TestFamilyForest:
         assert merged.compressed() == whole.compressed()
         assert merged.component_sizes() == whole.component_sizes()
 
+    def test_merge_unions_only_non_root_entries(self, monkeypatch):
+        """Merging a partial forest registers each root from its
+        self-entry and calls ``union`` once per entry below a root."""
+        partial = collision_forest([
+            (("a", 0), 5), (("a", 0), 9), (("b", 1), 9), (("b", 1), 12),
+            (("c", 2), 3), (("c", 2), 4)])
+        parent_map = partial.compressed()
+        parent_map[20] = 20  # a root with no entry below it
+        calls = []
+        union = FamilyForest.union
+
+        def counting(self, a, b):
+            calls.append((a, b))
+            union(self, a, b)
+        monkeypatch.setattr(FamilyForest, "union", counting)
+        merged = FamilyForest()
+        merged.merge(parent_map)
+        assert sorted(calls) == sorted(
+            (node, root) for node, root in parent_map.items()
+            if node != root)
+        assert merged.compressed() == parent_map
+        assert merged.component_sizes() == {3: 2, 5: 3, 20: 1}
+
     def test_collision_forest_joins_band_collisions(self):
         codes = _variant_codes()
         hasher = MinHasher(64)

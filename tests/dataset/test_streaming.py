@@ -18,6 +18,9 @@ from repro.core import PyraNet
 from repro.corpus.github_sim import GitHubScrapeSimulator
 from repro.corpus.keywords import build_keyword_database
 from repro.corpus.llm_sim import SimulatedCommercialLLM
+from repro.dataset import dedup
+from repro.dataset.dedup import tokenize_for_dedup
+from repro.dataset.filters import has_module, is_readable
 from repro.dataset.streaming import (
     CurationPipeline,
     chain_batches,
@@ -200,6 +203,41 @@ class TestStreamSources:
                          "curation.dedup", "curation.syntax_check"):
             assert expected in names
         assert "proc.rss_peak_bytes" in report["metrics"]["gauges"]
+
+
+class TestPhaseOneSigning:
+    def test_no_digest_outlives_a_batch(self, corpus, monkeypatch):
+        """Phase 1 digests each distinct shingle of a batch once, and a
+        second run in the same process digests as many again: no shingle
+        digest is kept across batches or runs."""
+        raw_files, generated = corpus
+        batch_size = 64
+        records = [record for batch in chain_batches(
+            raw_file_batches([raw_files]), generated_batches(generated))
+            for record in batch]
+        expected = 0
+        for start in range(0, len(records), batch_size):
+            distinct = set()
+            for content, _ in records[start:start + batch_size]:
+                if is_readable(content).kept and has_module(content).kept:
+                    distinct |= tokenize_for_dedup(content)
+            expected += len(distinct)
+
+        digested = []
+        shingle_hash = dedup._shingle_hash
+
+        def counting(text):
+            digested.append(text)
+            return shingle_hash(text)
+        monkeypatch.setattr(dedup, "_shingle_hash", counting)
+        counts = []
+        for _ in range(2):
+            digested.clear()
+            result = CurationPipeline(
+                seed=SEED, batch_size=batch_size).run(raw_files, generated)
+            assert_golden(result)
+            counts.append(len(digested))
+        assert counts == [expected, expected]
 
 
 class TestProcessPool:
